@@ -354,6 +354,10 @@ class Field:
 
     def _add_idx(self, i: int, j: int) -> int:
         p = self.p
+        if p == 2:
+            return i ^ j
+        if self.degree == 1:
+            return (i + j) % p
         out = 0
         mult = 1
         for _ in range(self.degree):
@@ -365,6 +369,10 @@ class Field:
 
     def _neg_idx(self, i: int) -> int:
         p = self.p
+        if p == 2:
+            return i
+        if self.degree == 1:
+            return -i % p
         out = 0
         mult = 1
         for _ in range(self.degree):
@@ -436,9 +444,22 @@ class Field:
 class FieldTables:
     """numpy lookup tables for a small field, for vectorised index arithmetic.
 
-    Multiplication goes through exp/log with respect to a deterministically
-    chosen generator; addition goes through the digit matrix.  Built lazily
-    via Field.tables.
+    Multiplication goes through exp/log with respect to the least generator g
+    of the unit group.  The exp table is built by doubling: multiplying by g^n
+    is F_p-linear on digit vectors, so exp[n:2n] is exp[0:n] times one D x D
+    matrix mod p, and squaring that matrix doubles n.
+
+    Addition uses one kernel per kind of field:
+
+    - p = 2: XOR of indices; subtraction is the same and negation the identity;
+    - prime fields: (u + v) mod p;
+    - odd p^k with k >= 2: Zech logarithms (Huber 1990),
+      u + v = g^(log u + Z[log v - log u]) with Z[k] = log(1 + g^k), which is
+      undefined where g^k = -1, i.e. at k = (Q - 1)/2.
+
+    The digit matrix ``dig`` is built on first use: only Poly's digit
+    convolution and coefficient folding need it.  Built lazily via
+    Field.tables.
     """
 
     def __init__(self, field: Field):
@@ -447,35 +468,33 @@ class FieldTables:
         self.field = field
         q = field.order
         p = field.p
-        d = field.degree
         self.order = q
         self.p = p
-        self.pw = np.array([p ** i for i in range(d)], dtype=np.int64)
-        dig = np.empty((q, d), dtype=np.int64)
-        v = np.arange(q, dtype=np.int64)
-        for i in range(d):
-            dig[:, i] = v % p
-            v //= p
-        self.dig = dig
-        self.neg = ((p - dig) % p) @ self.pw
+        self.pw = np.array([p ** i for i in range(field.degree)], dtype=np.int64)
+        group = max(q - 1, 1)
+        ks = np.arange(group, dtype=np.int64)
 
         # exp/log tables from the least generator of the unit group
+        self.generator = self._find_generator()
+        self.exp = self._exp_by_doubling(self.generator)
         self.log = np.full(q, -1, dtype=np.int64)
-        self.exp = np.ones(max(q - 1, 1), dtype=np.int64)
-        g = self._find_generator()
-        self.generator = g
-        acc = 1
-        for k in range(q - 1):
-            self.exp[k] = acc
-            self.log[acc] = k
-            acc = field._mul_idx(acc, g)
+        self.log[self.exp] = ks
         self.inv = np.zeros(q, dtype=np.int64)
-        if q > 1:
-            nz = self.exp[(q - 1 - np.arange(q - 1, dtype=np.int64)) % (q - 1)]
-            self.inv[self.exp] = nz
+        self.inv[self.exp] = self.exp[(group - ks) % group]
         # Frobenius x -> x^p on indices
         self.frob = np.zeros(q, dtype=np.int64)
-        self.frob[self.exp] = self.exp[(np.arange(q - 1, dtype=np.int64) * p) % (q - 1)]
+        self.frob[self.exp] = self.exp[ks * p % group]
+        # -1 = g^((Q-1)/2) for odd Q
+        if p == 2:
+            self.neg = np.arange(q, dtype=np.int64)
+        else:
+            self.neg = np.zeros(q, dtype=np.int64)
+            self.neg[self.exp] = self.exp[(ks + group // 2) % group]
+
+        self._zech = None
+        if p != 2 and field.degree > 1:
+            self._build_zech()
+
         # hand the tables back to the field for fast scalar arithmetic
         field._flog = self.log.tolist()
         field._fexp = self.exp.tolist()
@@ -491,19 +510,90 @@ class FieldTables:
                 return cand
         raise AssertionError("no generator found")  # unreachable
 
+    def _exp_by_doubling(self, g: int) -> np.ndarray:
+        f = self.field
+        p, pw = self.p, self.pw
+        group = max(self.order - 1, 1)
+        exp = np.empty(group, dtype=np.int64)
+        exp[0] = 1
+        # row i holds the digits of x^i * g^n, so digits(v g^n) = digits(v) @ step
+        step = np.array([f._digits(f._mul_idx(int(w), g)) for w in pw], dtype=np.int64)
+        n = 1
+        while n < group:
+            k = min(n, group - n)
+            exp[n:n + k] = (exp[:k, None] // pw % p) @ step % p @ pw
+            step = step @ step % p
+            n += k
+        return exp
+
+    def _build_zech(self):
+        """Zech tables that need no branch on zero operands.
+
+        u + v = _zexp[lu + _zech[lv - lu]] with lu = _zlog[u], lv = _zlog[v].
+        With L = Q - 1, _zlog reads log 0 as 2L, so lv - lu lies in [-2L, 2L];
+        negative differences index _zech (length 4L + 1) from its end.
+
+        - both nonzero: Z[(lv - lu) mod L], and 2L where 1 + g^k = 0;
+        - u = 0: the difference itself, so the exp index is lv;
+        - v = 0: 0, so the exp index is lu;
+        - both zero: the difference is 0 and the exp index 2L + Z[0].
+
+        _zexp is exp twice, then L zeros, so exp indices in [2L, 3L) give 0.
+        """
+        p, L = self.p, self.order - 1
+        # index of 1 + g^k: add one to the constant digit
+        one_plus = np.where(self.exp % p == p - 1, self.exp - (p - 1), self.exp + 1)
+        z = self.log[one_plus]
+        z[z < 0] = 2 * L
+        zech = np.zeros(4 * L + 1, dtype=np.int64)
+        zech[:L] = z
+        zech[-(L - 1):] = z[1:]
+        zech[2 * L + 1:3 * L + 1] = np.arange(-2 * L, -L, dtype=np.int64)
+        self._zech = zech
+        self._zexp = np.concatenate([self.exp, self.exp, np.zeros(L, dtype=np.int64)])
+        self._zlog = self.log.copy()
+        self._zlog[0] = 2 * L
+
+    @cached_property
+    def dig(self) -> np.ndarray:
+        """(Q, D) base-p digits of every index."""
+        return np.arange(self.order, dtype=np.int64)[:, None] // self.pw % self.p
+
     # all methods take and return int64 index arrays (broadcastable)
 
+    def _zech_add(self, u, v):
+        lu = self._zlog[u]
+        return self._zexp[lu + self._zech[self._zlog[v] - lu]]
+
     def add(self, u, v):
-        s = (self.dig[u] + self.dig[v]) % self.p
-        return s @ self.pw
+        if self.p == 2:
+            return np.bitwise_xor(u, v)
+        if self._zech is None:
+            return np.add(u, v) % self.p
+        return self._zech_add(u, v)
 
     def sub(self, u, v):
-        return self.add(u, self.neg[v])
+        if self.p == 2:
+            return np.bitwise_xor(u, v)
+        if self._zech is None:
+            return np.subtract(u, v) % self.p
+        return self._zech_add(u, self.neg[v])
 
     def sum_terms(self, stack):
         """Field sum along the first axis of a stacked index array."""
-        s = self.dig[stack].sum(axis=0) % self.p
-        return s @ self.pw
+        stack = np.asarray(stack, dtype=np.int64)
+        if self.p == 2:
+            return np.bitwise_xor.reduce(stack, axis=0)
+        if self._zech is None:
+            return stack.sum(axis=0) % self.p
+        if len(stack) <= 1:
+            return stack.sum(axis=0)
+        # pairwise halving: log2(rows) vectorised adds
+        while len(stack) > 1:
+            half = len(stack) // 2
+            pairs = self._zech_add(stack[:half], stack[half:2 * half])
+            stack = np.concatenate([pairs, stack[2 * half:]]) if len(stack) % 2 else pairs
+        return stack[0]
 
     def mul(self, u, v):
         u = np.asarray(u, dtype=np.int64)

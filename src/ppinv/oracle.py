@@ -27,7 +27,12 @@ def oracle_cap(cap: int | None = None) -> int:
     if cap is not None:
         return int(cap)
     env = os.environ.get(CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _check_cap(field: Field, cap: int | None):
@@ -83,9 +88,14 @@ class PermTable:
 
     @classmethod
     def from_csv(cls, field: Field, text: str) -> "PermTable":
-        images = np.full(field.order, -1, dtype=np.int64)
+        Q = field.order
+        images = np.full(Q, -1, dtype=np.int64)
         for line in text.strip().splitlines():
             k, v = (int(s) for s in line.split(","))
+            if not (0 <= k < Q and 0 <= v < Q):
+                raise ValueError(f"CSV entry {line!r} out of range [0, {Q})")
+            if images[k] >= 0:
+                raise ValueError(f"duplicate CSV key {k}")
             images[k] = v
         if (images < 0).any():
             raise ValueError("CSV table does not cover the whole field")

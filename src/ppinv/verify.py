@@ -25,8 +25,10 @@ from .oracle import CapExceededError, PermTable, inverse_poly_by_interpolation, 
 
 
 def factor_pairs(v: int) -> list[tuple[int, int]]:
-    """All (s, t) with s*t = v, ascending in s."""
-    return [(s, v // s) for s in range(1, v + 1) if v % s == 0]
+    """All (s, t) with s*t = v, ascending in s; trial division up to sqrt(v)."""
+    low = [s for s in range(1, math.isqrt(v) + 1) if v % s == 0]
+    high = [v // s for s in reversed(low) if s * s != v]
+    return [(s, v // s) for s in low + high]
 
 
 def field_splits(max_order: int) -> list[tuple[int, int, int]]:

@@ -155,6 +155,13 @@ def test_verify_cap_exceeded(capsys):
     assert "cap" in err
 
 
+def test_verify_bad_cap_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("PPINV_ORACLE_CAP", "abc")
+    code, _, err = run(capsys, "verify", "--field", "5^1^1", "--m", "1", "--s", "2", "--t", "2", "--all-a")
+    assert code == 2
+    assert "PPINV_ORACLE_CAP" in err
+
+
 def test_survey_cli(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -198,3 +198,90 @@ def test_tables_guard():
     F = Field(3, 1, 2)
     with pytest.raises(ZeroDivisionError):
         F.tables.inv_of(np.array([0, 1]))
+
+
+def _digitwise(F, i, j, sign=1):
+    """Index of digits(i) + sign * digits(j), coefficient by coefficient."""
+    return F._index([(a + sign * b) % F.p for a, b in zip(F._digits(i), F._digits(j))])
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 4), (2, 3, 2), (7, 1, 1), (101, 1, 1), (3, 1, 3), (5, 2, 1)])
+def test_scalar_add_matches_digitwise(spec):
+    F = Field(*spec)
+    for i in range(F.order):
+        assert F._neg_idx(i) == _digitwise(F, 0, i, -1)
+        for j in range(F.order):
+            assert F._add_idx(i, j) == _digitwise(F, i, j)
+            assert F._sub_idx(i, j) == _digitwise(F, i, j, -1)
+
+
+def _reference_powers(F):
+    """Least generator and its powers, by repeated scalar multiplication."""
+    group = F.order - 1
+    if group == 1:
+        return 1, [1]
+    for g in range(2, F.order):
+        powers = [1]
+        while (nxt := F._mul_idx(powers[-1], g)) != 1:
+            powers.append(nxt)
+        if len(powers) == group:
+            return g, powers
+    raise AssertionError("no generator")
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 1), (3, 1, 1), (2, 1, 9), (3, 1, 6), (3, 3, 2), (5, 1, 3), (2, 1, 16)])
+def test_tables_equal_reference(spec):
+    gen, exp = _reference_powers(Field(*spec))  # a twin without tables: digit-loop products
+    F = Field(*spec)
+    T = F.tables
+    Q, p, group = F.order, F.p, len(exp)
+    log, inv, frob = [-1] * Q, [0] * Q, [0] * Q
+    for k, x in enumerate(exp):
+        log[x] = k
+        inv[x] = exp[-k % group]
+        frob[x] = exp[k * p % group]
+    dig = np.arange(Q, dtype=np.int64)[:, None] // T.pw % p
+    assert T.generator == gen
+    assert T.exp.tolist() == exp
+    assert T.log.tolist() == log
+    assert T.inv.tolist() == inv
+    assert T.frob.tolist() == frob
+    assert np.array_equal(T.neg, (-dig % p) @ T.pw)
+    assert np.array_equal(T.dig, dig)
+
+
+@pytest.mark.parametrize(
+    "spec", [(2, 1, 1), (2, 1, 9), (2, 2, 3), (7, 1, 1), (101, 1, 1), (3, 1, 2), (3, 1, 6), (3, 3, 2), (5, 1, 3), (2, 1, 16)]
+)
+def test_vector_add_matches_digitwise(spec):
+    F = Field(*spec)
+    T = F.tables
+    Q, p = F.order, F.p
+    rng = np.random.default_rng(Q)
+
+    def digits(a):
+        return np.asarray(a, dtype=np.int64)[..., None] // T.pw % p
+
+    def index(d):
+        return d % p @ T.pw
+
+    col = rng.integers(0, Q, (40, 1))
+    row = rng.integers(0, Q, (1, 30))
+    col[:4] = 0
+    row[0, :3] = 0
+    flat = rng.integers(0, Q, 50)
+    flat[:2] = 0
+    negs = index(-digits(flat))  # u = -v at every position
+    cases = [(col, row), (flat, negs), (flat, flat), (np.int64(0), flat), (flat, np.int64(0))]
+    for u, v in cases:
+        assert np.array_equal(T.add(u, v), index(digits(u) + digits(v)))
+        assert np.array_equal(T.sub(u, v), index(digits(u) - digits(v)))
+    for rows in (0, 1, 2, 3, 5, 8, 16):
+        stack = rng.integers(0, Q, (rows, 25))
+        if rows >= 2:
+            stack[:, 0] = 0
+            stack[0, 1], stack[1, 1] = flat[5], negs[5]
+            stack[2:, 1] = 0  # a column that sums to zero
+        got = T.sum_terms(stack)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, index(digits(stack).sum(axis=0)))

@@ -24,6 +24,17 @@ def test_factor_pairs():
     assert factor_pairs(24) == [(1, 24), (2, 12), (3, 8), (4, 6), (6, 4), (8, 3), (12, 2), (24, 1)]
 
 
+def test_factor_pairs_match_brute_force():
+    for v in range(1, 2001):
+        assert factor_pairs(v) == [(s, v // s) for s in range(1, v + 1) if v % s == 0], v
+    # 2^32 - 1 = 3 * 5 * 17 * 257 * 65537: 32 divisors
+    pairs = factor_pairs(2 ** 32 - 1)
+    assert len(pairs) == 32
+    assert [s for s, _ in pairs] == sorted(s for s, _ in pairs)
+    assert all(s * t == 2 ** 32 - 1 for s, t in pairs)
+    assert pairs[1] == (3, 1431655765) and pairs[-2] == (1431655765, 3)
+
+
 def test_field_splits():
     splits = field_splits(27)
     assert splits[0] == (2, 1, 1)
