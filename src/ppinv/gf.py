@@ -65,24 +65,13 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over F_p as little-endian coefficient lists (internal helpers
-# for modulus search and element arithmetic).
+# Polynomials over F_p as little-endian coefficient lists, for the gcd step of
+# the irreducibility test.
 
 def _ptrim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
 
 
 def _pmod(a, m, p):
@@ -99,21 +88,6 @@ def _pmod(a, m, p):
     return _ptrim(a)
 
 
-def _pmulmod(a, b, m, p):
-    return _pmod(_pmul(a, b, p), m, p)
-
-
-def _ppowmod(a, k, m, p):
-    result = [1]
-    base = _pmod(a, m, p)
-    while k:
-        if k & 1:
-            result = _pmulmod(result, base, m, p)
-        base = _pmulmod(base, base, m, p)
-        k >>= 1
-    return result
-
-
 def _pgcd(a, b, p):
     a, b = list(a), list(b)
     while b:
@@ -123,31 +97,235 @@ def _pgcd(a, b, p):
     return a
 
 
+# ---------------------------------------------------------------------------
+# Packed-integer kernels: F_p[x]/(m) with each residue held in one Python int,
+# so a product is one big-integer multiply plus a few whole-word operations.
+
+# _SPREAD[b] interleaves the bits of the byte b with zeros: squaring over F_2
+_SPREAD = [sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(256)]
+
+
+def _repeat(word: int, width: int, count: int) -> int:
+    """``word`` copied into ``count`` slots of ``width`` bits."""
+    return word * ((1 << width * count) - 1) // ((1 << width) - 1)
+
+
+class _PackedKernel:
+    """Multiplication mod a monic modulus on packed residues.
+
+    ``pack``/``unpack`` convert between a field index and the packed form;
+    ``mul``, ``sqr`` and ``pow`` work on packed values only, so a power
+    converts once on the way in and once on the way out.
+    """
+
+    def pow(self, a: int, k: int) -> int:
+        """a^k for k >= 1, by left-to-right square and multiply."""
+        r = a
+        for bit in bin(k)[3:]:
+            r = self.sqr(r)
+            if bit == "1":
+                r = self.mul(r, a)
+        return r
+
+    def sqr(self, a: int) -> int:
+        return self.mul(a, a)
+
+    def pow_idx(self, i: int, k: int) -> int:
+        return self.unpack(self.pow(self.pack(i), k))
+
+    def mul_idx(self, i: int, j: int) -> int:
+        return self.unpack(self.mul(self.pack(i), self.pack(j)))
+
+
+class _Gf2Kernel(_PackedKernel):
+    """p = 2: an index is its own coefficient bit vector.
+
+    A product is a shift-and-XOR carry-less multiply, a square spreads the
+    bits apart, and x^D is folded back as the XOR of the modulus's low terms,
+    shifted.  The first irreducible of each degree has few, low taps, so one or
+    two folds finish the reduction.
+    """
+
+    def __init__(self, modulus):
+        self.degree = len(modulus) - 1
+        self.mask = (1 << self.degree) - 1
+        self.taps = tuple(i for i, c in enumerate(modulus[:-1]) if c)
+        self.x = 2  # x, for degree >= 2
+
+    @staticmethod
+    def pack(i: int) -> int:
+        return i
+
+    unpack = pack
+
+    def digits(self, v: int) -> list[int]:
+        return [v >> i & 1 for i in range(self.degree)]
+
+    def reduce(self, v: int) -> int:
+        D, mask, taps = self.degree, self.mask, self.taps
+        hi = v >> D
+        while hi:
+            v &= mask
+            for j in taps:
+                v ^= hi << j
+            hi = v >> D
+        return v
+
+    def mul(self, a: int, b: int) -> int:
+        if a < b:
+            a, b = b, a
+        out = 0
+        while b:
+            if b & 1:
+                out ^= a
+            a <<= 1
+            b >>= 1
+        return self.reduce(out)
+
+    def sqr(self, a: int) -> int:
+        out = 0
+        shift = 0
+        while a:
+            out |= _SPREAD[a & 255] << shift
+            a >>= 8
+            shift += 16
+        return self.reduce(out)
+
+    mul_idx = mul
+
+
+class _OddKernel(_PackedKernel):
+    """Odd p: Kronecker substitution (Harvey 2009) with W-bit slots.
+
+    Digit c_i of a residue sits in bits [W i, W (i + 1)), so the product of
+    two residues is one integer multiply whose slots hold the raw coefficient
+    sums.  Whole-word steps then finish the product:
+
+    - ``_mod`` reduces every slot mod p at once: floor(v / p) is
+      (v * M) >> s for every v up to the slot bound, so one multiply, shift and
+      mask give all quotients;
+    - the high half is reduced by polynomial Barrett division, quotient
+      q = ((P div x^D) * mu) div x^(D-2) with mu = x^(2D-2) div m, exact over a
+      field, and remainder P - q m taken on the low D slots only.
+
+    W is chosen so that no slot sum (at most (D-1) D (p-1)^3 before a
+    ``_mod``) spills into its neighbour, also after the multiply by M.  With
+    ``indexed`` the kernel also converts field indices: in by a table of the
+    packed form of every base-p chunk of at most 256 values, out by pairwise
+    combination of slots, c_{2i} + p c_{2i+1}, in log2(D) whole-word rounds.
+    """
+
+    def __init__(self, p: int, modulus, indexed: bool = True):
+        D = len(modulus) - 1
+        self.p, self.degree = p, D
+        bound = max(2 * D * (p - 1) ** 2, (D - 1) * D * (p - 1) ** 3)
+        self.shift = s = (bound * p).bit_length()
+        self.magic = M = -(-(1 << s) // p)
+        self.width = W = (bound * M).bit_length()
+        self.slot = (1 << W) - 1
+        self.quot = _repeat((1 << W - s) - 1, W, 2 * D - 1)
+        self.low = (1 << W * D) - 1
+        self.x = 1 << W  # x, for degree >= 2
+        self.negm = self.pack_digits([-c % p for c in modulus])
+        self.mu = self._barrett_mu()
+        if indexed:
+            self._build_conversions()
+
+    def pack_digits(self, digits) -> int:
+        W = self.width
+        return sum(c << W * i for i, c in enumerate(digits))
+
+    def digits(self, v: int) -> list[int]:
+        W, slot = self.width, self.slot
+        return [v >> W * i & slot for i in range(self.degree)]
+
+    def _barrett_mu(self) -> int:
+        """x^(2D-2) div m by long division on the packed dividend."""
+        D, W, p = self.degree, self.width, self.p
+        num = 1 << W * (2 * D - 2)
+        mu = 0
+        for k in range(2 * D - 2, D - 1, -1):
+            c = (num >> W * k & self.slot) % p
+            if c:
+                mu |= c << W * (k - D)
+                num += c * self.negm << W * (k - D)
+        return mu
+
+    def _mod(self, v: int) -> int:
+        return v - self.p * ((v * self.magic) >> self.shift & self.quot)
+
+    def mul(self, a: int, b: int) -> int:
+        D, W = self.degree, self.width
+        prod = a * b
+        q = self._mod((prod >> W * D) * self.mu) >> W * (D - 2) if D > 1 else 0
+        return self._mod((prod & self.low) + (q * self.negm & self.low))
+
+    def _build_conversions(self):
+        p, D, W = self.p, self.degree, self.width
+        chunk = 1
+        while p ** (chunk + 1) <= 256 and chunk < D:
+            chunk += 1
+        self._chunk_base = p ** chunk
+        self._chunk_shift = W * chunk
+        if p > 256:
+            # one digit per chunk, already its own packed form
+            self._chunk_table = range(p)
+        else:
+            self._chunk_table = [
+                self.pack_digits(v // p ** i % p for i in range(chunk)) for v in range(p ** chunk)
+            ]
+        # round r adds pairs of slots of width W 2^r, the upper one times p^(2^r)
+        self._rounds = []
+        width, slots, scale = W, D, p
+        while slots > 1:
+            mask = _repeat((1 << width) - 1, 2 * width, (slots + 1) // 2)
+            self._rounds.append((width, mask, scale))
+            width, slots, scale = 2 * width, (slots + 1) // 2, scale * scale
+
+    def pack(self, i: int) -> int:
+        out = shift = 0
+        base, step, table = self._chunk_base, self._chunk_shift, self._chunk_table
+        while i:
+            i, r = divmod(i, base)
+            out |= table[r] << shift
+            shift += step
+        return out
+
+    def unpack(self, v: int) -> int:
+        for width, mask, scale in self._rounds:
+            v = (v & mask) + scale * (v >> width & mask)
+        return v
+
+
+def _kernel(p: int, modulus, indexed: bool = True) -> _PackedKernel:
+    return _Gf2Kernel(modulus) if p == 2 else _OddKernel(p, modulus, indexed)
+
+
 def _is_irreducible(m, p) -> bool:
     """Deterministic irreducibility test for a monic polynomial over F_p.
 
     Checks x^(p^deg) == x mod m together with gcd(x^(p^(deg/r)) - x, m) = 1
-    for every prime r dividing deg.
+    for every prime r dividing deg.  Candidates with the root 0 or 1 are
+    rejected first.
     """
     deg = len(m) - 1
     if deg < 1:
         return False
-    x = [0, 1]
-    # frob[k] = x^(p^k) mod m, computed by iterated p-th powers
-    t = _pmod(x, m, p)
-    frob = {0: t}
-    for k in range(1, deg + 1):
-        t = _ppowmod(t, p, m, p)
-        frob[k] = t
-    if frob[deg] != _pmod(x, m, p):
+    if deg == 1:
+        return True
+    if m[0] == 0 or sum(m) % p == 0:
+        return False
+    K = _kernel(p, m, indexed=False)
+    # frob[k] = x^(p^k) mod m, packed
+    frob = [K.x]
+    for _ in range(deg):
+        frob.append(K.pow(frob[-1], p))
+    if frob[deg] != K.x:
         return False
     for r in prime_factors(deg):
-        diff = list(frob[deg // r])
-        while len(diff) < 2:
-            diff.append(0)
+        diff = K.digits(frob[deg // r])
         diff[1] = (diff[1] - 1) % p
-        g = _pgcd(m, _ptrim(diff), p)
-        if len(g) > 1:
+        if len(_pgcd(m, _ptrim(diff), p)) > 1:
             return False
     return True
 
@@ -259,7 +437,7 @@ class Field:
         self.q = p ** e
         self.order = order
         self.modulus: tuple[int, ...] = first_irreducible(p, degree)
-        # exp/log lists for fast scalar ops, filled in once dense tables exist
+        # exp/log lists for fast scalar ops, set by the tables property
         self._flog: list[int] | None = None
         self._fexp: list[int] | None = None
 
@@ -384,14 +562,18 @@ class Field:
     def _sub_idx(self, i: int, j: int) -> int:
         return self._add_idx(i, self._neg_idx(j))
 
+    @cached_property
+    def _kernel(self) -> _PackedKernel:
+        """Packed-integer product kernel, for scalar ops before or without tables."""
+        return _kernel(self.p, self.modulus)
+
     def _mul_idx(self, i: int, j: int) -> int:
         if i == 0 or j == 0:
             return 0
         if self._fexp is not None:
             group = self.order - 1
             return self._fexp[(self._flog[i] + self._flog[j]) % group] if group > 1 else 1
-        prod = _pmulmod(list(self._digits(i)), list(self._digits(j)), list(self.modulus), self.p)
-        return self._index(prod + [0] * (self.degree - len(prod)))
+        return self._kernel.mul_idx(i, j)
 
     def _pow_idx(self, i: int, k: int) -> int:
         if k == 0:
@@ -404,14 +586,7 @@ class Field:
             return 1
         if self._fexp is not None:
             return self._fexp[self._flog[i] * k % group]
-        result = 1
-        base = i
-        while k:
-            if k & 1:
-                result = self._mul_idx(result, base)
-            base = self._mul_idx(base, base)
-            k >>= 1
-        return result
+        return self._kernel.pow_idx(i, k)
 
     def _inv_idx(self, i: int) -> int:
         if i == 0:
@@ -438,7 +613,11 @@ class Field:
 
     @cached_property
     def tables(self) -> "FieldTables":
-        return FieldTables(self)
+        tables = FieldTables(self)
+        # from here on scalar mul/pow/inv read exp/log instead of the kernel
+        self._flog = tables.log.tolist()
+        self._fexp = tables.exp.tolist()
+        return tables
 
 
 class FieldTables:
@@ -495,9 +674,6 @@ class FieldTables:
         if p != 2 and field.degree > 1:
             self._build_zech()
 
-        # hand the tables back to the field for fast scalar arithmetic
-        field._flog = self.log.tolist()
-        field._fexp = self.exp.tolist()
 
     def _find_generator(self) -> int:
         f = self.field

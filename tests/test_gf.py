@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ppinv.gf import Field, FieldElement, first_irreducible, is_prime, prime_factors
+from ppinv.gf import Field, FieldElement, _kernel, first_irreducible, is_prime, prime_factors
 
 
 def test_pinned_moduli():
@@ -285,3 +285,147 @@ def test_vector_add_matches_digitwise(spec):
         got = T.sum_terms(stack)
         assert got.dtype == np.int64
         assert np.array_equal(got, index(digits(stack).sum(axis=0)))
+
+
+# first_irreducible(p, d) for every (p, degree) that the test suite and the
+# benchmark build, captured before the packed-integer kernels replaced the
+# digit-list arithmetic; every prime p <= 113 also gives (0, 1) at degree 1.
+PINNED_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1) + (0,) * 7 + (1,),
+    (2, 10): (1, 0, 0, 1) + (0,) * 6 + (1,),
+    (2, 16): (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,),
+    (2, 20): (1, 0, 0, 1) + (0,) * 16 + (1,),
+    (2, 21): (1, 0, 1) + (0,) * 18 + (1,),
+    (2, 32): (1, 0, 1, 1, 0, 0, 0, 1) + (0,) * 24 + (1,),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 10): (1, 0, 2) + (0,) * 7 + (1,),
+    (3, 20): (1, 2, 0, 1) + (0,) * 16 + (1,),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (7, 11): (3, 1) + (0,) * 9 + (1,),
+    (11, 2): (1, 0, 1),
+    (13, 2): (2, 0, 1),
+    (251, 4): (4, 1, 0, 0, 1),
+}
+PINNED_MODULI.update({(p, 1): (0, 1) for p in range(2, 114) if is_prime(p)})
+
+
+def test_first_irreducible_pinned():
+    for (p, degree), modulus in PINNED_MODULI.items():
+        assert first_irreducible(p, degree) == modulus, (p, degree)
+
+
+def test_first_irreducible_agrees_with_sympy():
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    def irreducible(coeffs, p):
+        return galoistools.gf_irreducible_p(list(reversed(coeffs)), p, ZZ)
+
+    for (p, degree), modulus in PINNED_MODULI.items():
+        assert irreducible(list(modulus), p), (p, degree)
+        # every earlier candidate in little-endian base-p order is reducible
+        first = sum(c * p ** i for i, c in enumerate(modulus[:-1]))
+        for k in range(first):
+            cand = [k // p ** i % p for i in range(degree)] + [1]
+            assert not irreducible(cand, p), (p, degree, cand)
+
+
+def _ref_mul(p, modulus, i, j):
+    """Schoolbook product of two digit vectors, reduced one top digit at a time."""
+    D = len(modulus) - 1
+    prod = [0] * (2 * D - 1)
+    for x in range(D):
+        for y in range(D):
+            prod[x + y] = (prod[x + y] + i // p ** x % p * (j // p ** y % p)) % p
+    for k in range(2 * D - 2, D - 1, -1):
+        c = prod[k]
+        for t in range(D + 1):
+            prod[k - D + t] = (prod[k - D + t] - c * modulus[t]) % p
+    return sum(c * p ** k for k, c in enumerate(prod[:D]))
+
+
+def _ref_pow(p, modulus, i, k):
+    """Square and multiply on _ref_mul, with the exponent left unreduced."""
+    result, base = 1, i
+    while k:
+        if k & 1:
+            result = _ref_mul(p, modulus, result, base)
+        base = _ref_mul(p, modulus, base, base)
+        k >>= 1
+    return result
+
+
+@pytest.mark.parametrize(
+    "spec", [(2, 1, 32), (3, 1, 20), (7, 1, 11), (251, 1, 4), (3, 2, 5), (5, 1, 3), (2, 1, 1), (3, 1, 1)]
+)
+def test_packed_kernel_matches_schoolbook(spec):
+    F = Field(*spec)  # no tables: every product goes through the packed kernel
+    Q = F.order
+    rng = np.random.default_rng(Q % 1000)
+    operands = [0, 1, Q - 1] + [int(v) for v in rng.integers(0, Q, 6)]
+    for i in operands:
+        for j in operands:
+            assert F._mul_idx(i, j) == _ref_mul(F.p, F.modulus, i, j), (i, j)
+        for k in (0, 1, Q - 1, Q, 2 ** 40 + 12345):
+            assert F._pow_idx(i, k) == _ref_pow(F.p, F.modulus, i, k), (i, k)
+        if i:
+            assert _ref_mul(F.p, F.modulus, i, F._inv_idx(i)) == 1, i
+    assert F._fexp is None
+
+
+@pytest.mark.parametrize("p, degree", [(2, 32), (3, 20), (7, 11), (251, 4), (5, 3)])
+def test_packed_kernel_worst_case_slot_sums(p, degree):
+    # The first irreducibles are sparse, so their products stay far below the
+    # slot bound; a dense modulus and all-(p-1) operands reach it.  The kernel
+    # computes in F_p[x]/(m) for any monic m, irreducible or not.
+    modulus = (p - 1,) * degree + (1,)
+    K = _kernel(p, modulus)
+    Q = p ** degree
+    rng = np.random.default_rng(p)
+    operands = [Q - 1, Q - 2] + [int(v) for v in rng.integers(0, Q, 4)]
+    for i in operands:
+        for j in operands:
+            assert K.mul_idx(i, j) == _ref_mul(p, modulus, i, j), (i, j)
+        assert K.pow_idx(i, Q - 2) == _ref_pow(p, modulus, i, Q - 2), i
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 9), (3, 3, 2), (5, 1, 3), (2, 1, 16)])
+def test_packed_kernel_matches_tables(spec):
+    bare = Field(*spec)
+    F = Field(*spec)
+    F.tables
+    Q = F.order
+    rng = np.random.default_rng(Q)
+    pairs = rng.integers(0, Q, (20000, 2)).tolist()
+    exps = rng.integers(0, 2 ** 62, 20000).tolist()
+    for (i, j), k in zip(pairs, exps):
+        assert bare._mul_idx(i, j) == F._mul_idx(i, j), (i, j)
+        assert bare._pow_idx(i, k) == F._pow_idx(i, k), (i, k)
+        if i:
+            assert bare._inv_idx(i) == F._inv_idx(i), i
+    assert bare._fexp is None and F._fexp is not None
+
+
+def test_tables_hand_back_is_explicit():
+    from ppinv.gf import FieldTables
+
+    F = Field(3, 1, 4)
+    T = FieldTables(F)  # building tables alone leaves scalar arithmetic alone
+    assert F._fexp is None and F._flog is None
+    assert F.tables is F.tables
+    assert F._fexp == T.exp.tolist() and F._flog == T.log.tolist()
