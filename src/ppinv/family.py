@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .gf import Field, FieldElement
-from .poly import Poly, family_poly
+from .poly import Poly
 
 
 class NotPermutationError(ValueError):
@@ -141,10 +141,6 @@ class PPParams:
         factor = (n_a / den) * self.h_value(a, y)
         return y * factor ** self.t
 
-    def family_polynomial(self, a) -> Poly:
-        """Coefficient form of f itself."""
-        return family_poly(self.field, self.s, self.t, self._unit(a))
-
     def closed_inverse(self, a) -> "ClosedInverse":
         """Symbolic decomposition f^{-1}(y) = y (scale * g(y) * h(y))^t."""
         a = self._unit(a)
@@ -168,19 +164,27 @@ class PPParams:
 
     # -- vectorised sweeps ------------------------------------------------------
 
-    def a_indices(self) -> np.ndarray:
-        return np.arange(1, self.field.order, dtype=np.int64)
+    def a_indices(self, selection=None) -> np.ndarray:
+        """The selected a indices as an array; every nonzero a when None.
+
+        Raises ValueError for any index outside [1, Q).
+        """
+        Q = self.field.order
+        if selection is None:
+            return np.arange(1, Q, dtype=np.int64)
+        a = np.asarray(selection, dtype=np.int64)
+        if a.size and (a.min() < 1 or a.max() >= Q):
+            raise ValueError(f"a indices must lie in [1, {Q})")
+        return a
 
     def criterion_mask(self, a_indices=None) -> np.ndarray:
         """Boolean criterion verdict for an array of nonzero a indices."""
-        T = self.field.tables
-        a = self.a_indices() if a_indices is None else np.asarray(a_indices, dtype=np.int64)
-        return T.pow(a, self._crit_exp) != 1
+        return self.field.tables.pow(self.a_indices(a_indices), self._crit_exp) != 1
 
     def images_for(self, a_indices=None) -> np.ndarray:
         """Images of every field point under f, one row per a."""
         T = self.field.tables
-        a = self.a_indices() if a_indices is None else np.asarray(a_indices, dtype=np.int64)
+        a = self.a_indices(a_indices)
         x = np.arange(self.field.order, dtype=np.int64)
         xs = T.pow(x, self.s)
         diff = T.sub(xs[None, :], a[:, None])

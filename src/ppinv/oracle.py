@@ -35,7 +35,8 @@ def oracle_cap(cap: int | None = None) -> int:
         raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def _check_cap(field: Field, cap: int | None):
+def check_cap(field: Field, cap: int | None):
+    """Raise CapExceededError if the field is larger than the oracle cap."""
     limit = oracle_cap(cap)
     if field.order > limit:
         raise CapExceededError(f"field order {field.order} exceeds oracle cap {limit}")
@@ -104,7 +105,7 @@ class PermTable:
 
 def tabulate(field: Field, fn, cap: int | None = None) -> PermTable:
     """Evaluate fn at every field element, in index order."""
-    _check_cap(field, cap)
+    check_cap(field, cap)
     images = np.empty(field.order, dtype=np.int64)
     for k, x in enumerate(field.elements()):
         images[k] = fn(x).index
@@ -112,12 +113,16 @@ def tabulate(field: Field, fn, cap: int | None = None) -> PermTable:
 
 
 def inverse_poly_by_interpolation(table: PermTable) -> Poly:
-    """Reduced polynomial inducing the inverse permutation, by Lagrange interpolation."""
+    """Reduced polynomial inducing the inverse permutation.
+
+    Interpolated from the inverted table by the group-sum coefficient formula
+    of Poly.interpolate, which reads only the field tables.
+    """
     inv = table.inverted()
     return Poly.interpolate(table.field, enumerate(inv.images))
 
 
 def check_composition_identity(field: Field, f, g, cap: int | None = None) -> bool:
     """True iff g(f(x)) = x for every x in the field."""
-    _check_cap(field, cap)
+    check_cap(field, cap)
     return all(g(f(x)) == x for x in field.elements())

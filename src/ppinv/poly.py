@@ -14,7 +14,7 @@ import numpy as np
 
 from .gf import Field, FieldElement
 
-# Lagrange interpolation materialises a Q x Q basis matrix per field.
+# Interpolation does Q^2 work and holds (Q - 1)^2 temporaries per call.
 INTERP_LIMIT = 2048
 
 
@@ -128,15 +128,6 @@ class Poly:
         acc = self.field.zero
         for k in range(len(self.idx) - 1, -1, -1):
             acc = acc * x + FieldElement(self.field, int(self.idx[k]))
-        return acc
-
-    def eval_indices(self, u: np.ndarray) -> np.ndarray:
-        """Vectorised Horner evaluation on an array of element indices."""
-        T = self.field.tables
-        u = np.asarray(u, dtype=np.int64)
-        acc = np.zeros_like(u)
-        for k in range(len(self.idx) - 1, -1, -1):
-            acc = T.add(T.mul(acc, u), np.int64(self.idx[k]))
         return acc
 
     def eval_terms(self, u: np.ndarray) -> np.ndarray:
@@ -302,8 +293,15 @@ class Poly:
         """Unique polynomial of degree < Q through all Q points (x_i, y_i).
 
         The abscissae must exhaust the field; duplicates or gaps are rejected.
+        Coefficients come from the group-sum formula (Lidl & Niederreiter,
+        Finite Fields, ch. 7): with g the table generator and L = Q - 1,
+        c_0 = F(0), c_k = -sum_j F(g^j) g^(-jk) for 1 <= k < L, and
+        c_L = -sum_x F(x).  Each term is one exp-table gather in the log
+        domain, over the j with F(g^j) != 0.
         """
         Q = field.order
+        if Q > INTERP_LIMIT:
+            raise ValueError(f"interpolation limited to fields of order <= {INTERP_LIMIT}")
         y_by_x = np.full(Q, -1, dtype=np.int64)
         count = 0
         for xv, yv in pairs:
@@ -315,9 +313,17 @@ class Poly:
         if count != Q:
             raise ValueError(f"interpolation table must cover all {Q} abscissae")
         T = field.tables
-        basis = _lagrange_basis(field)
-        prod = T.mul(y_by_x[:, None], basis)
-        return cls(field, T.sum_terms(prod))
+        L = Q - 1
+        y = y_by_x[T.exp]  # F(g^j), j = 0..L-1
+        j = np.flatnonzero(y)
+        # row j, column k - 1: log of F(g^j) g^(-jk) = log F(g^j) + (L - j) k
+        # mod L, for k = 1..L; below Q^2 <= 2^22, so int32 suffices
+        e = np.multiply.outer((L - j).astype(np.int32), np.arange(1, Q, dtype=np.int32))
+        e += T.log[y[j]].astype(np.int32)[:, None]
+        e %= L
+        sums = T.sum_terms(T.exp[e])
+        sums[-1] = T.add(sums[-1], y_by_x[0])  # the k = L sum also takes F(0)
+        return cls(field, np.concatenate([y_by_x[:1], T.neg[sums]]))
 
 
 def _reduction_rows(field: Field) -> np.ndarray:
@@ -334,42 +340,6 @@ def _reduction_rows(field: Field) -> np.ndarray:
             rows[k] = np.array(cur.coeffs, dtype=np.int64)
         T._redrows = rows
     return rows
-
-
-def _lagrange_basis(field: Field) -> np.ndarray:
-    """Matrix whose row i holds the coefficients of the Lagrange basis poly at x_i.
-
-    Row i is the synthetic quotient prod(x - x_j) / (x - x_i), scaled by the
-    inverse of its value at x_i.  Cached per field.
-    """
-    T = field.tables
-    basis = getattr(T, "_lagrange", None)
-    if basis is not None:
-        return basis
-    Q = field.order
-    if Q > INTERP_LIMIT:
-        raise ValueError(f"interpolation limited to fields of order <= {INTERP_LIMIT}")
-    xs = np.arange(Q, dtype=np.int64)
-    # master polynomial prod_j (x - x_j), built incrementally
-    master = np.zeros(Q + 1, dtype=np.int64)
-    master[0] = 1
-    deg = 0
-    for c in range(Q):
-        shifted = np.zeros(deg + 2, dtype=np.int64)
-        shifted[1:] = master[: deg + 1]
-        shifted[:-1] = T.sub(shifted[:-1], T.mul(master[: deg + 1], np.int64(c)))
-        master[: deg + 2] = shifted
-        deg += 1
-    B = np.zeros((Q, Q), dtype=np.int64)
-    B[:, Q - 1] = master[Q]
-    for k in range(Q - 1, 0, -1):
-        B[:, k - 1] = T.add(np.int64(master[k]), T.mul(xs, B[:, k]))
-    den = np.zeros(Q, dtype=np.int64)
-    for k in range(Q - 1, -1, -1):
-        den = T.add(T.mul(den, xs), B[:, k])
-    B = T.mul(T.inv_of(den)[:, None], B)
-    T._lagrange = B
-    return B
 
 
 def family_poly(field: Field, s: int, t: int, a: FieldElement) -> Poly:

@@ -21,7 +21,7 @@ import numpy as np
 from . import special
 from .family import PPParams
 from .gf import Field
-from .oracle import CapExceededError, PermTable, inverse_poly_by_interpolation, oracle_cap
+from .oracle import PermTable, check_cap, inverse_poly_by_interpolation
 
 
 def factor_pairs(v: int) -> list[tuple[int, int]]:
@@ -86,10 +86,8 @@ def check_family(
 ) -> list[FamilyCheck]:
     """Criterion-versus-oracle sweep over the selected a values."""
     field = params.field
-    limit = oracle_cap(cap)
-    if field.order > limit:
-        raise CapExceededError(f"field order {field.order} exceeds oracle cap {limit}")
-    a_sel = params.a_indices() if a_indices is None else np.asarray(a_indices, dtype=np.int64)
+    check_cap(field, cap)
+    a_sel = params.a_indices(a_indices)
     images = params.images_for(a_sel)
     crit = params.criterion_mask(a_sel)
     bij = bijection_mask(images)

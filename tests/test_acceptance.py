@@ -101,7 +101,7 @@ def test_02_general_inverse_round_trips():
 
 
 def test_03_symbolic_inverse_equals_interpolation():
-    """Reduced symbolic inverse == Lagrange interpolation of the inverted table (Q <= 125)."""
+    """Reduced symbolic inverse == group-sum interpolation of the inverted table (Q <= 125)."""
     checked = 0
     for field in sweep_fields(125):
         for params in family_space(field):

@@ -36,13 +36,31 @@ def test_check_bad_relation(capsys):
     assert "q^m - 1" in err
 
 
-def test_check_malformed_inputs(capsys):
-    code, _, err = run(capsys, "check", "--field", "6^1^1", "--m", "1", "--s", "2", "--t", "2", "--a", "2")
-    assert code == 2 and "prime" in err
-    code, _, err = run(capsys, "check", "--field", "5-1-1", "--m", "1", "--s", "2", "--t", "2", "--a", "2")
-    assert code == 2
-    code, _, err = run(capsys, "check", "--field", "5^1^1", "--m", "1", "--s", "2", "--t", "2", "--a", "9")
-    assert code == 2 and "range" in err
+FAMILY_5 = ("--field", "5^1^1", "--m", "1", "--s", "2", "--t", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, code, needle",
+    [
+        (("check", "--field", "6^1^1", "--m", "1", "--s", "2", "--t", "2", "--a", "2"), 2, "prime"),
+        (("check", "--field", "5-1-1", "--m", "1", "--s", "2", "--t", "2", "--a", "2"), 2, "p^e^n"),
+        (("check", "--field", "5^x^1", "--m", "1", "--s", "2", "--t", "2", "--a", "2"), 2,
+         "non-integer component"),
+        (("check", *FAMILY_5, "--a", "9"), 2, "range"),
+        (("check", *FAMILY_5, "--a", "0"), 2, "nonzero"),
+        (("check", *FAMILY_5, "--a", "x"), 2, "invalid literal"),
+        (("check", "--field", "3^1^2", "--m", "1", "--s", "2", "--t", "1", "--a", "1,1,1", "--coeffs"),
+         2, "too many coefficients"),
+        (("verify", "--field", "3^1^7", "--m", "1", "--s", "2", "--t", "1", "--a", "2"), 2,
+         "interpolation limited to fields of order <= 2048"),
+    ],
+    ids=["non-prime-p", "bad-descriptor", "non-integer-component", "a-out-of-range", "a-zero",
+         "non-integer-a", "coeffs-too-long", "verify-above-interp-limit"],
+)
+def test_exit_codes_on_malformed_input(capsys, argv, code, needle):
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    assert needle in err
 
 
 def test_check_json(capsys):

@@ -80,6 +80,17 @@ def test_check_family_selection_and_cap():
         check_family(params, cap=3)
 
 
+def test_a_indices_outside_the_units_are_rejected():
+    params = PPParams(Field(5, 1, 2), 2, 2, 12)
+    for bad in (-1, 0, 25):
+        with pytest.raises(ValueError, match="a indices"):
+            params.criterion_mask([bad])
+        with pytest.raises(ValueError, match="a indices"):
+            params.images_for([2, bad])
+        with pytest.raises(ValueError, match="a indices"):
+            check_family(params, [bad])
+
+
 def test_survey_deterministic_and_consistent():
     buf1, buf2 = io.StringIO(), io.StringIO()
     n1 = write_survey_csv(buf1, 16)
