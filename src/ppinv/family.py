@@ -74,7 +74,7 @@ class PPParams:
         # (q^{im}-1)/(q^m-1) and (q^{(i-1)m}-1)/t for i = 1..n/d
         self._E = [sum(q ** (m * l) for l in range(i)) for i in range(1, nd + 1)]
         self._G = [_exact_div(q ** ((i - 1) * m) - 1, t) for i in range(1, nd + 1)]
-        self._norm_exp = sum(q ** (self.d * l) for l in range(nd))
+        self._norm_exp = field.norm_exponent(self.d)
         self._crit_exp = group // self.s_bar
 
     def __eq__(self, other):
@@ -97,9 +97,21 @@ class PPParams:
             raise ValueError("a must be nonzero")
         return a
 
-    def subfield_norm(self, a) -> FieldElement:
-        """Norm of a onto the subfield of order q^d."""
-        return self.field.element(a) ** self._norm_exp
+    def _permuting(self, a) -> tuple[FieldElement, FieldElement]:
+        """a as a unit and its norm N(a) onto the subfield of order q^d.
+
+        Rejects a up front when the criterion fails, since the denominator
+        N(y^s) - N(a) of the inverse is only provably nonzero for permutations.
+        """
+        a = self._unit(a)
+        if not self.is_permutation(a):
+            raise NotPermutationError(f"a={a.index} is an s-th power; f is not a permutation")
+        return a, a ** self._norm_exp
+
+    def _h_coeffs(self, a: FieldElement) -> list[FieldElement]:
+        """The coefficients a^{-(q^{im}-1)/(q^m-1)} of h, i = 1..n/d."""
+        ainv = a.inverse()
+        return [ainv ** E for E in self._E]
 
     def criterion_power(self, a) -> FieldElement:
         """a^((q^n-1)/s_bar); f permutes the field iff this is not 1."""
@@ -116,46 +128,31 @@ class PPParams:
 
     def h_value(self, a, y) -> FieldElement:
         """The n/d-term sum h(y) = sum_i a^{-(q^{im}-1)/(q^m-1)} y^{(q^{(i-1)m}-1)/t}."""
-        a = self._unit(a)
         y = self.field.element(y)
-        ainv = a.inverse()
         acc = self.field.zero
-        for E, G in zip(self._E, self._G):
-            acc = acc + (ainv ** E) * (y ** G)
+        for c, G in zip(self._h_coeffs(self._unit(a)), self._G):
+            acc = acc + c * (y ** G)
         return acc
 
     def inverse_value(self, a, y) -> FieldElement:
-        """Pointwise inverse: the unique x with f(x) = y.
-
-        Rejected up front when the criterion fails, since the denominator
-        N(y^s) - N(a) is only provably nonzero for permutations.
-        """
-        a = self._unit(a)
-        if not self.is_permutation(a):
-            raise NotPermutationError(f"a={a.index} is an s-th power; f is not a permutation")
+        """Pointwise inverse: the unique x with f(x) = y."""
+        a, n_a = self._permuting(a)
         y = self.field.element(y)
         if not y:
             return self.field.zero
-        n_a = self.subfield_norm(a)
-        den = self.subfield_norm(y ** self.s) - n_a
+        den = (y ** self.s) ** self._norm_exp - n_a
         factor = (n_a / den) * self.h_value(a, y)
         return y * factor ** self.t
 
     def closed_inverse(self, a) -> "ClosedInverse":
         """Symbolic decomposition f^{-1}(y) = y (scale * g(y) * h(y))^t."""
-        a = self._unit(a)
-        crit = self.criterion_power(a)
-        one = self.field.one
-        if crit == one:
-            raise NotPermutationError(f"a={a.index} is an s-th power; f is not a permutation")
-        n_a = self.subfield_norm(a)
-        scale = n_a / (one - crit)
+        a, n_a = self._permuting(a)
+        scale = n_a / (self.field.one - self.criterion_power(a))
         nu = self._norm_exp
         g_terms = tuple(
             (nu * self.s * (l - 1), n_a ** (self.u - l)) for l in range(1, self.u + 1)
         )
-        ainv = a.inverse()
-        h_terms = tuple((G, ainv ** E) for E, G in zip(self._E, self._G))
+        h_terms = tuple(zip(self._G, self._h_coeffs(a)))
         return ClosedInverse(self.field, a, self.t, scale, g_terms, h_terms)
 
     def inverse_polynomial(self, a) -> Poly:
@@ -192,15 +189,11 @@ class PPParams:
 
     def inverse_values(self, a) -> np.ndarray:
         """Pointwise inverse at every field point, as an index array."""
-        a = self._unit(a)
-        if not self.is_permutation(a):
-            raise NotPermutationError(f"a={a.index} is an s-th power; f is not a permutation")
+        a, n_a = self._permuting(a)
         T = self.field.tables
         y = np.arange(self.field.order, dtype=np.int64)
-        n_a = self.subfield_norm(a)
-        ainv = a.inverse()
         stack = np.stack(
-            [T.mul(np.int64((ainv ** E).index), T.pow(y, G)) for E, G in zip(self._E, self._G)]
+            [T.mul(np.int64(c.index), T.pow(y, G)) for c, G in zip(self._h_coeffs(a), self._G)]
         )
         h_vals = T.sum_terms(stack)
         den = T.sub(T.pow(y, self.s * self._norm_exp), np.int64(n_a.index))
@@ -212,8 +205,7 @@ class ClosedInverse:
     """The (scale, g, h, t) decomposition of the inverse of x(x^s - a)^t.
 
     Term lists keep the literal exponents (which may exceed Q - 1); the g and
-    h properties densify them verbatim, while as_poly folds everything mod
-    x^Q - x.
+    h properties fold them mod x^Q - x.
     """
 
     __slots__ = ("field", "a", "t", "scale", "g_terms", "h_terms")
@@ -228,34 +220,15 @@ class ClosedInverse:
 
     @property
     def g(self) -> Poly:
-        arr = np.zeros(max(e for e, _ in self.g_terms) + 1, dtype=np.int64)
-        for e, c in self.g_terms:
-            arr[e] = c.index
-        return Poly(self.field, arr)
+        return poly_from_terms(self.field, self.g_terms)
 
     @property
     def h(self) -> Poly:
-        arr = np.zeros(max(e for e, _ in self.h_terms) + 1, dtype=np.int64)
-        for e, c in self.h_terms:
-            arr[e] = c.index
-        return Poly(self.field, arr)
-
-    def _eval_terms(self, terms, y: FieldElement) -> FieldElement:
-        acc = self.field.zero
-        for e, c in terms:
-            acc = acc + c * (y ** e)
-        return acc
-
-    def evaluate(self, y) -> FieldElement:
-        y = self.field.element(y)
-        inner = self.scale * self._eval_terms(self.g_terms, y) * self._eval_terms(self.h_terms, y)
-        return y * inner ** self.t
+        return poly_from_terms(self.field, self.h_terms)
 
     def as_poly(self) -> Poly:
         """Reduced coefficient vector of y (scale * g(y) * h(y))^t."""
-        gr = poly_from_terms(self.field, self.g_terms)
-        hr = poly_from_terms(self.field, self.h_terms)
-        powed = gr.mul_mod(hr).pow_mod(self.t)
+        powed = self.g.mul_mod(self.h).pow_mod(self.t)
         return powed.scale(self.scale ** self.t).shift(1).reduce()
 
     def __repr__(self):
@@ -325,7 +298,7 @@ def linearized_images(field: Field, m: int, a_indices) -> np.ndarray:
 
 def norm_mask(field: Field, d: int, a_indices) -> np.ndarray:
     """Boolean mask: norm onto the order-q^d subfield differs from 1."""
-    exp = sum(field.q ** (d * l) for l in range(field.n // d))
+    exp = field.norm_exponent(d)
     return field.tables.pow(np.asarray(a_indices, dtype=np.int64), exp) != 1
 
 

@@ -598,16 +598,19 @@ class Field:
 
     # -- norm ----------------------------------------------------------------
 
-    def norm(self, a: FieldElement, d: int = 1) -> FieldElement:
-        """Norm from F_{q^n} onto the subfield of order q^d (d must divide n).
+    def norm_exponent(self, d: int) -> int:
+        """(q^n-1)/(q^d-1), the exponent of the norm onto the subfield of order q^d.
 
-        Computed as a^((q^n-1)/(q^d-1)) with the exponent assembled as the
-        geometric sum 1 + q^d + q^(2d) + ... so no big-integer division occurs.
+        d must divide n.  Assembled as the geometric sum 1 + q^d + q^(2d) + ...
+        so no big-integer division occurs.
         """
         if d < 1 or self.n % d != 0:
             raise ValueError(f"{d} does not divide n={self.n}")
-        exp = sum(self.q ** (d * l) for l in range(self.n // d))
-        return a ** exp
+        return sum(self.q ** (d * l) for l in range(self.n // d))
+
+    def norm(self, a: FieldElement, d: int = 1) -> FieldElement:
+        """Norm from F_{q^n} onto the subfield of order q^d (d must divide n)."""
+        return a ** self.norm_exponent(d)
 
     # -- dense tables ---------------------------------------------------------
 

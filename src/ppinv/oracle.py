@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .gf import Field, FieldElement
+from .gf import Field
 from .poly import Poly
 
 DEFAULT_CAP = 1 << 16
@@ -66,9 +66,6 @@ class PermTable:
     def __len__(self):
         return len(self.images)
 
-    def image(self, x) -> FieldElement:
-        return FieldElement(self.field, int(self.images[self.field.element(x).index]))
-
     def is_bijection(self) -> bool:
         """Occupancy count in one pass: every index hit exactly once."""
         counts = np.bincount(self.images, minlength=self.field.order)
@@ -80,27 +77,6 @@ class PermTable:
         inv = np.empty_like(self.images)
         inv[self.images] = np.arange(len(self.images), dtype=np.int64)
         return PermTable(self.field, inv)
-
-    def pairs(self):
-        return [(int(k), int(v)) for k, v in enumerate(self.images)]
-
-    def to_csv(self) -> str:
-        return "\n".join(f"{k},{v}" for k, v in self.pairs()) + "\n"
-
-    @classmethod
-    def from_csv(cls, field: Field, text: str) -> "PermTable":
-        Q = field.order
-        images = np.full(Q, -1, dtype=np.int64)
-        for line in text.strip().splitlines():
-            k, v = (int(s) for s in line.split(","))
-            if not (0 <= k < Q and 0 <= v < Q):
-                raise ValueError(f"CSV entry {line!r} out of range [0, {Q})")
-            if images[k] >= 0:
-                raise ValueError(f"duplicate CSV key {k}")
-            images[k] = v
-        if (images < 0).any():
-            raise ValueError("CSV table does not cover the whole field")
-        return cls(field, images)
 
 
 def tabulate(field: Field, fn, cap: int | None = None) -> PermTable:
@@ -118,8 +94,7 @@ def inverse_poly_by_interpolation(table: PermTable) -> Poly:
     Interpolated from the inverted table by the group-sum coefficient formula
     of Poly.interpolate, which reads only the field tables.
     """
-    inv = table.inverted()
-    return Poly.interpolate(table.field, enumerate(inv.images))
+    return Poly.interpolate(table.field, table.inverted().images)
 
 
 def check_composition_identity(field: Field, f, g, cap: int | None = None) -> bool:

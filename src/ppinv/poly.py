@@ -18,6 +18,12 @@ from .gf import Field, FieldElement
 INTERP_LIMIT = 2048
 
 
+def check_interp_limit(field: Field):
+    """Raise ValueError if the field is too large to interpolate on."""
+    if field.order > INTERP_LIMIT:
+        raise ValueError(f"interpolation limited to fields of order <= {INTERP_LIMIT}")
+
+
 def _comb_mod_p(t: int, k: int, p: int) -> int:
     """Binomial coefficient C(t, k) mod p via base-p digits (Lucas)."""
     out = 1
@@ -81,24 +87,11 @@ class Poly:
         arr[exp] = c.index
         return cls(field, arr)
 
-    @classmethod
-    def from_text(cls, field: Field, text: str) -> "Poly":
-        """Parse the comma-separated little-endian index encoding."""
-        text = text.strip()
-        if not text:
-            return cls(field)
-        return cls(field, [int(s) for s in text.split(",")])
-
     # -- basics ---------------------------------------------------------------
 
     @property
     def degree(self) -> int:
         return len(self.idx) - 1
-
-    def coefficient(self, k: int) -> FieldElement:
-        if 0 <= k < len(self.idx):
-            return FieldElement(self.field, int(self.idx[k]))
-        return self.field.zero
 
     def terms(self):
         """Nonzero (exponent, coefficient) pairs, ascending."""
@@ -193,7 +186,8 @@ class Poly:
                     C[:, u + v] += np.convolve(A[:, u], B[:, v])
         # fold digit powers y^(D+k) back below the element modulus
         if D > 1:
-            red = _reduction_rows(f)
+            # digits of x^(D+k) mod the field modulus; x has index p
+            red = T.dig[[f._pow_idx(f.p, D + k) for k in range(D - 1)]]
             for k in range(2 * D - 2, D - 1, -1):
                 col = C[:, k]
                 if col.any():
@@ -203,16 +197,9 @@ class Poly:
 
     def reduce(self) -> "Poly":
         """Canonical representative of the induced function (degree < Q)."""
-        f = self.field
-        Q = f.order
-        if len(self.idx) <= Q:
-            return Poly(f, self.idx)
-        T = f.tables
-        kk = np.arange(len(self.idx), dtype=np.int64)
-        tgt = np.where(kk < Q, kk, (kk - 1) % (Q - 1) + 1)
-        acc = np.zeros((Q, f.degree), dtype=np.int64)
-        np.add.at(acc, tgt, T.dig[self.idx])
-        return Poly(f, (acc % f.p) @ T.pw)
+        if len(self.idx) <= self.field.order:
+            return Poly(self.field, self.idx)
+        return _fold(self.field, np.arange(len(self.idx), dtype=np.int64), self.idx)
 
     def mul_mod(self, other: "Poly") -> "Poly":
         return (self * other).reduce()
@@ -222,13 +209,8 @@ class Poly:
         f = self.field
         if not self:
             return Poly(f)
-        T = f.tables
-        Q = f.order
-        kk = np.nonzero(self.idx)[0].astype(np.int64) * f.p
-        tgt = np.where(kk < Q, kk, (kk - 1) % (Q - 1) + 1)
-        acc = np.zeros((Q, f.degree), dtype=np.int64)
-        np.add.at(acc, tgt, T.dig[T.frob[self.idx[np.nonzero(self.idx)[0]]]])
-        return Poly(f, (acc % f.p) @ T.pw)
+        kk = np.nonzero(self.idx)[0].astype(np.int64)
+        return _fold(f, kk * f.p, f.tables.frob[self.idx[kk]])
 
     def _small_pow(self, k: int) -> "Poly":
         result = Poly.one(self.field)
@@ -289,29 +271,23 @@ class Poly:
     # -- interpolation ----------------------------------------------------------
 
     @classmethod
-    def interpolate(cls, field: Field, pairs) -> "Poly":
-        """Unique polynomial of degree < Q through all Q points (x_i, y_i).
+    def interpolate(cls, field: Field, images) -> "Poly":
+        """Unique polynomial of degree < Q taking the value images[x] at each x.
 
-        The abscissae must exhaust the field; duplicates or gaps are rejected.
-        Coefficients come from the group-sum formula (Lidl & Niederreiter,
-        Finite Fields, ch. 7): with g the table generator and L = Q - 1,
-        c_0 = F(0), c_k = -sum_j F(g^j) g^(-jk) for 1 <= k < L, and
-        c_L = -sum_x F(x).  Each term is one exp-table gather in the log
-        domain, over the j with F(g^j) != 0.
+        images holds the Q image indices in index order.  Coefficients come
+        from the group-sum formula (Lidl & Niederreiter, Finite Fields,
+        ch. 7): with g the table generator and L = Q - 1, c_0 = F(0),
+        c_k = -sum_j F(g^j) g^(-jk) for 1 <= k < L, and c_L = -sum_x F(x).
+        Each term is one exp-table gather in the log domain, over the j with
+        F(g^j) != 0.
         """
+        check_interp_limit(field)
         Q = field.order
-        if Q > INTERP_LIMIT:
-            raise ValueError(f"interpolation limited to fields of order <= {INTERP_LIMIT}")
-        y_by_x = np.full(Q, -1, dtype=np.int64)
-        count = 0
-        for xv, yv in pairs:
-            xi = field.element(xv).index
-            if y_by_x[xi] >= 0:
-                raise ValueError(f"duplicate abscissa {xi}")
-            y_by_x[xi] = field.element(yv).index
-            count += 1
-        if count != Q:
-            raise ValueError(f"interpolation table must cover all {Q} abscissae")
+        y_by_x = np.asarray(images, dtype=np.int64)
+        if y_by_x.shape != (Q,):
+            raise ValueError(f"interpolation table must hold exactly {Q} images")
+        if y_by_x.min() < 0 or y_by_x.max() >= Q:
+            raise ValueError(f"image indices must lie in [0, {Q})")
         T = field.tables
         L = Q - 1
         y = y_by_x[T.exp]  # F(g^j), j = 0..L-1
@@ -326,20 +302,17 @@ class Poly:
         return cls(field, np.concatenate([y_by_x[:1], T.neg[sums]]))
 
 
-def _reduction_rows(field: Field) -> np.ndarray:
-    """Digits of x^(D+k) mod the field modulus, k = 0..D-2 (cached on tables)."""
+def _fold(field: Field, exps: np.ndarray, coeffs: np.ndarray) -> Poly:
+    """Reduced sum of the terms coeffs[i] x^exps[i], folded mod x^Q - x.
+
+    Terms that land on the same exponent are added digit-wise.
+    """
+    Q = field.order
     T = field.tables
-    rows = getattr(T, "_redrows", None)
-    if rows is None:
-        D = field.degree
-        rows = np.zeros((max(D - 1, 0), D), dtype=np.int64)
-        cur = field.element(field._index([0] * (D - 1) + [1]))  # x^(D-1)
-        xgen = field.from_coeffs([0, 1]) if D > 1 else field.one
-        for k in range(D - 1):
-            cur = cur * xgen  # now x^(D+k) reduced
-            rows[k] = np.array(cur.coeffs, dtype=np.int64)
-        T._redrows = rows
-    return rows
+    tgt = np.where(exps < Q, exps, (exps - 1) % (Q - 1) + 1)
+    acc = np.zeros((Q, field.degree), dtype=np.int64)
+    np.add.at(acc, tgt, T.dig[coeffs])
+    return Poly(field, (acc % field.p) @ T.pw)
 
 
 def family_poly(field: Field, s: int, t: int, a: FieldElement) -> Poly:

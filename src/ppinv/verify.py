@@ -22,6 +22,7 @@ from . import special
 from .family import PPParams
 from .gf import Field
 from .oracle import PermTable, check_cap, inverse_poly_by_interpolation
+from .poly import check_interp_limit
 
 
 def factor_pairs(v: int) -> list[tuple[int, int]]:
@@ -87,6 +88,8 @@ def check_family(
     """Criterion-versus-oracle sweep over the selected a values."""
     field = params.field
     check_cap(field, cap)
+    if symbolic:
+        check_interp_limit(field)
     a_sel = params.a_indices(a_indices)
     images = params.images_for(a_sel)
     crit = params.criterion_mask(a_sel)

@@ -156,9 +156,17 @@ def test_closed_inverse_agrees_with_pointwise():
                 for a in field.units():
                     if not prm.is_permutation(a):
                         continue
-                    ci = prm.closed_inverse(a)
+                    got = prm.closed_inverse(a).as_poly().eval_terms(np.arange(field.order))
                     for y in field.elements():
-                        assert ci.evaluate(y) == prm.inverse_value(a, y)
+                        assert got[y.index] == prm.inverse_value(a, y).index
+
+
+def test_closed_inverse_g_is_folded():
+    # the literal g exponents reach nu*s*(u-1) = 4369*819*4 = 14,312,844
+    field = Field(2, 1, 16)
+    ci = PPParams(field, 12, 819, 5).closed_inverse(field(3))
+    assert len(ci.g_terms) == 5
+    assert len(ci.g.idx) <= field.order
 
 
 def test_closed_inverse_poly_matches_interpolation():
@@ -245,6 +253,12 @@ def test_linearized_sweep_small():
                 assert linearized_is_permutation(field, m, a) == bool(ell_mask[ai - 1])
                 if ell_mask[ai - 1]:
                     assert linearized_inverse(field, m, a).compose_mod(ell) == Poly.x(field)
+
+
+def test_norm_mask_rejects_non_divisor():
+    field = Field(3, 1, 6)
+    with pytest.raises(ValueError, match="does not divide"):
+        norm_mask(field, 4, np.arange(1, field.order))
 
 
 # -- gcd identity ------------------------------------------------------------

@@ -65,7 +65,7 @@ def test_permtable_validation():
     with pytest.raises(ValueError):
         PermTable(field, [0, 1, 2, 3, 9])
     table = PermTable(field, [0, 1, 3, 2, 4])
-    assert table.image(2).index == 3
+    assert table.images[2] == 3
     assert len(table) == 5
 
 
@@ -118,36 +118,8 @@ def test_cap_enforcement(monkeypatch):
     tabulate(field, lambda x: x)
 
 
-def test_csv_round_trip():
-    field, params, a = f5_instance()
-    table = tabulate(field, lambda x: params.evaluate(a, x))
-    text = table.to_csv()
-    assert text.splitlines()[2] == "2,3"
-    assert PermTable.from_csv(field, text) == table
-    with pytest.raises(ValueError):
-        PermTable.from_csv(field, "0,1\n1,2\n")  # incomplete table
-
-
 def test_cap_env_must_be_integer(monkeypatch):
     monkeypatch.setenv("PPINV_ORACLE_CAP", "abc")
     with pytest.raises(ValueError, match="PPINV_ORACLE_CAP"):
         oracle_cap()
     assert oracle_cap(100) == 100  # an explicit cap never reads the variable
-
-
-def test_csv_rejects_negative_key():
-    field = Field(5)
-    with pytest.raises(ValueError, match="out of range"):
-        PermTable.from_csv(field, "0,0\n1,1\n2,2\n3,3\n-1,4\n")
-
-
-def test_csv_rejects_duplicate_key():
-    field = Field(5)
-    with pytest.raises(ValueError, match="duplicate"):
-        PermTable.from_csv(field, "0,0\n1,1\n2,2\n3,3\n4,4\n4,0\n")
-
-
-def test_csv_rejects_key_beyond_field():
-    field = Field(5)
-    with pytest.raises(ValueError, match="out of range"):
-        PermTable.from_csv(field, "0,0\n1,1\n2,2\n3,3\n4,4\n5,0\n")

@@ -91,6 +91,16 @@ def test_a_indices_outside_the_units_are_rejected():
             check_family(params, [bad])
 
 
+def test_symbolic_check_refuses_large_field_before_work(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("images built before the interpolation limit was checked")
+
+    monkeypatch.setattr(PPParams, "images_for", reached)
+    params = PPParams(Field(3, 1, 7), 1, 2, 1)
+    with pytest.raises(ValueError, match="interpolation limited to fields of order <= 2048"):
+        check_family(params, [2], symbolic=True)
+
+
 def test_survey_deterministic_and_consistent():
     buf1, buf2 = io.StringIO(), io.StringIO()
     n1 = write_survey_csv(buf1, 16)
