@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .gf import Field, FieldElement
-from .poly import Poly
+from .poly import Poly, poly_from_terms
 
 
 class NotPermutationError(ValueError):
@@ -26,28 +26,6 @@ def _exact_div(num: int, den: int) -> int:
     if r:
         raise AssertionError(f"{num} not divisible by {den}")
     return q
-
-
-def poly_from_terms(field: Field, terms) -> Poly:
-    """Dense reduced polynomial from (exponent, coefficient) pairs.
-
-    Exponents >= Q are folded by the x^Q - x rule before densifying, so
-    arbitrarily large printed exponents stay cheap.
-    """
-    Q = field.order
-    acc: dict[int, int] = {}
-    for exp, coeff in terms:
-        c = field.element(coeff)
-        if not c:
-            continue
-        k = exp if exp < Q else (exp - 1) % (Q - 1) + 1
-        acc[k] = field._add_idx(acc.get(k, 0), c.index)
-    if not acc:
-        return Poly(field)
-    arr = np.zeros(max(acc) + 1, dtype=np.int64)
-    for k, v in acc.items():
-        arr[k] = v
-    return Poly(field, arr)
 
 
 class PPParams:
@@ -89,11 +67,11 @@ class PPParams:
     def __repr__(self):
         return f"PPParams(GF({self.field.descriptor()}), m={self.m}, s={self.s}, t={self.t})"
 
-    # -- scalar operations ----------------------------------------------------
+    # -- operations on an element or an index-array element ---------------------
 
     def _unit(self, a) -> FieldElement:
         a = self.field.element(a)
-        if not a:
+        if not (a.index.all() if isinstance(a.index, np.ndarray) else a.index):
             raise ValueError("a must be nonzero")
         return a
 
@@ -127,20 +105,25 @@ class PPParams:
         return x * (x ** self.s - a) ** self.t
 
     def h_value(self, a, y) -> FieldElement:
-        """The n/d-term sum h(y) = sum_i a^{-(q^{im}-1)/(q^m-1)} y^{(q^{(i-1)m}-1)/t}."""
+        """The n/d-term sum h(y) = sum_i a^{-(q^{im}-1)/(q^m-1)} y^{(q^{(i-1)m}-1)/t}.
+
+        The first exponent is 0, so the sum starts from the first coefficient.
+        """
         y = self.field.element(y)
-        acc = self.field.zero
-        for c, G in zip(self._h_coeffs(self._unit(a)), self._G):
+        first, *rest = self._h_coeffs(self._unit(a))
+        acc = first
+        for c, G in zip(rest, self._G[1:]):
             acc = acc + c * (y ** G)
         return acc
 
     def inverse_value(self, a, y) -> FieldElement:
-        """Pointwise inverse: the unique x with f(x) = y."""
+        """Pointwise inverse: the unique x with f(x) = y.
+
+        At y = 0 the denominator is -N(a) != 0, so the result is 0.
+        """
         a, n_a = self._permuting(a)
         y = self.field.element(y)
-        if not y:
-            return self.field.zero
-        den = (y ** self.s) ** self._norm_exp - n_a
+        den = y ** (self.s * self._norm_exp) - n_a
         factor = (n_a / den) * self.h_value(a, y)
         return y * factor ** self.t
 
@@ -159,16 +142,17 @@ class PPParams:
         """Reduced coefficient form of the inverse, from the symbolic decomposition."""
         return self.closed_inverse(a).as_poly()
 
-    # -- vectorised sweeps ------------------------------------------------------
+    # -- whole-field sweeps, as index arrays ---------------------------------------
 
     def a_indices(self, selection=None) -> np.ndarray:
         """The selected a indices as an array; every nonzero a when None.
 
-        Raises ValueError for any index outside [1, Q).
+        Raises ValueError for any index outside [1, Q), and for None on a
+        field too large for index arrays.
         """
         Q = self.field.order
         if selection is None:
-            return np.arange(1, Q, dtype=np.int64)
+            return self.field.all_elements().index[1:]
         a = np.asarray(selection, dtype=np.int64)
         if a.size and (a.min() < 1 or a.max() >= Q):
             raise ValueError(f"a indices must lie in [1, {Q})")
@@ -176,29 +160,17 @@ class PPParams:
 
     def criterion_mask(self, a_indices=None) -> np.ndarray:
         """Boolean criterion verdict for an array of nonzero a indices."""
-        return self.field.tables.pow(self.a_indices(a_indices), self._crit_exp) != 1
+        a = FieldElement(self.field, self.a_indices(a_indices))
+        return self.criterion_power(a) != self.field.one
 
     def images_for(self, a_indices=None) -> np.ndarray:
         """Images of every field point under f, one row per a."""
-        T = self.field.tables
-        a = self.a_indices(a_indices)
-        x = np.arange(self.field.order, dtype=np.int64)
-        xs = T.pow(x, self.s)
-        diff = T.sub(xs[None, :], a[:, None])
-        return T.mul(x[None, :], T.pow(diff, self.t))
+        a = FieldElement(self.field, self.a_indices(a_indices)[:, None])
+        return self.evaluate(a, self.field.all_elements()).index
 
     def inverse_values(self, a) -> np.ndarray:
         """Pointwise inverse at every field point, as an index array."""
-        a, n_a = self._permuting(a)
-        T = self.field.tables
-        y = np.arange(self.field.order, dtype=np.int64)
-        stack = np.stack(
-            [T.mul(np.int64(c.index), T.pow(y, G)) for c, G in zip(self._h_coeffs(a), self._G)]
-        )
-        h_vals = T.sum_terms(stack)
-        den = T.sub(T.pow(y, self.s * self._norm_exp), np.int64(n_a.index))
-        factor = T.mul(T.mul(np.int64(n_a.index), T.inv_of(den)), h_vals)
-        return T.mul(y, T.pow(factor, self.t))
+        return self.inverse_value(a, self.field.all_elements()).index
 
 
 class ClosedInverse:
@@ -289,17 +261,14 @@ def linearized_inverse(field: Field, m: int, a, allow_m_equal_n: bool = False) -
 
 def linearized_images(field: Field, m: int, a_indices) -> np.ndarray:
     """Images of every field point under L, one row per a."""
-    T = field.tables
-    a = np.asarray(a_indices, dtype=np.int64)
-    x = np.arange(field.order, dtype=np.int64)
-    xq = T.pow(x, field.q ** m)
-    return T.sub(xq[None, :], T.mul(a[:, None], x[None, :]))
+    a = field.element(np.asarray(a_indices, dtype=np.int64)[:, None])
+    x = field.all_elements()
+    return (x ** field.q ** m - a * x).index
 
 
 def norm_mask(field: Field, d: int, a_indices) -> np.ndarray:
     """Boolean mask: norm onto the order-q^d subfield differs from 1."""
-    exp = field.norm_exponent(d)
-    return field.tables.pow(np.asarray(a_indices, dtype=np.int64), exp) != 1
+    return field.norm(field.element(np.asarray(a_indices, dtype=np.int64)), d) != field.one
 
 
 # ---------------------------------------------------------------------------

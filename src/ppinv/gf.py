@@ -22,6 +22,9 @@ DEFAULT_MAX_ORDER = 2 ** 32
 # enough to sweep exhaustively.
 TABLE_LIMIT = 2 ** 20
 
+# An element index: an int, or an int64 array of indices on a field with tables.
+Index = int | np.ndarray
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -351,11 +354,18 @@ def first_irreducible(p: int, degree: int) -> tuple[int, ...]:
 
 
 class FieldElement:
-    """Element of a Field, identified by its index sum(c_i * p^i)."""
+    """Element of a Field, identified by its index sum(c_i * p^i).
+
+    On a field with tables the index may also be an int64 numpy array: the
+    element then stands for every element of that array at once, operators
+    run elementwise with numpy broadcasting, and ``==``/``!=`` give boolean
+    masks (the design of the galois library's FieldArray).  A formula
+    written for scalars thus evaluates a whole array of points unchanged.
+    """
 
     __slots__ = ("field", "index")
 
-    def __init__(self, field: "Field", index: int):
+    def __init__(self, field: "Field", index: Index):
         self.field = field
         self.index = index
 
@@ -364,7 +374,9 @@ class FieldElement:
         return self.field._digits(self.index)
 
     def _check(self, other):
-        if not isinstance(other, FieldElement) or other.field != self.field:
+        if not isinstance(other, FieldElement) or (
+            other.field is not self.field and other.field != self.field
+        ):
             raise TypeError("operands belong to different fields")
         return other
 
@@ -398,9 +410,13 @@ class FieldElement:
     def __eq__(self, other):
         return (
             isinstance(other, FieldElement)
-            and self.field == other.field
+            and (other.field is self.field or other.field == self.field)
             and self.index == other.index
         )
+
+    def __ne__(self, other):
+        eq = self == other
+        return ~eq if isinstance(eq, np.ndarray) else not eq
 
     def __hash__(self):
         return hash((self.field, self.index))
@@ -473,7 +489,11 @@ class Field:
     # -- element construction ----------------------------------------------
 
     def element(self, value) -> FieldElement:
-        """Element from an integer index or a coefficient sequence."""
+        """Element from an integer index, an index array or a coefficient sequence.
+
+        An index array needs the field's tables, so it raises ValueError
+        above TABLE_LIMIT.
+        """
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise TypeError("element belongs to a different field")
@@ -483,6 +503,13 @@ class Field:
             if not 0 <= k < self.order:
                 raise ValueError(f"element index {k} out of range [0, {self.order})")
             return FieldElement(self, k)
+        if isinstance(value, np.ndarray):
+            if value.dtype.kind not in "iu":
+                raise TypeError(f"element index arrays must be integer, got {value.dtype}")
+            if value.size and (value.min() < 0 or value.max() >= self.order):
+                raise ValueError(f"element indices out of range [0, {self.order})")
+            self.tables  # arrays run on the table kernels
+            return FieldElement(self, value.astype(np.int64, copy=False))
         return self.from_coeffs(value)
 
     __call__ = element
@@ -513,6 +540,11 @@ class Field:
         for k in range(1, self.order):
             yield FieldElement(self, k)
 
+    def all_elements(self) -> FieldElement:
+        """Every field element at once: one element holding the index array 0..Q-1."""
+        self.tables  # arrays run on the table kernels
+        return FieldElement(self, np.arange(self.order, dtype=np.int64))
+
     # -- index <-> digits ----------------------------------------------------
 
     def _digits(self, k: int) -> tuple[int, ...]:
@@ -528,9 +560,12 @@ class Field:
             k = k * self.p + c
         return k
 
-    # -- scalar arithmetic on indices ---------------------------------------
+    # -- arithmetic on indices ------------------------------------------------
+    # An index array operand goes to the matching FieldTables kernel.
 
-    def _add_idx(self, i: int, j: int) -> int:
+    def _add_idx(self, i: Index, j: Index) -> Index:
+        if isinstance(i, np.ndarray) or isinstance(j, np.ndarray):
+            return self.tables.add(i, j)
         p = self.p
         if p == 2:
             return i ^ j
@@ -545,7 +580,9 @@ class Field:
             mult *= p
         return out
 
-    def _neg_idx(self, i: int) -> int:
+    def _neg_idx(self, i: Index) -> Index:
+        if isinstance(i, np.ndarray):
+            return self.tables.neg[i]
         p = self.p
         if p == 2:
             return i
@@ -559,7 +596,7 @@ class Field:
             mult *= p
         return out
 
-    def _sub_idx(self, i: int, j: int) -> int:
+    def _sub_idx(self, i: Index, j: Index) -> Index:
         return self._add_idx(i, self._neg_idx(j))
 
     @cached_property
@@ -567,7 +604,9 @@ class Field:
         """Packed-integer product kernel, for scalar ops before or without tables."""
         return _kernel(self.p, self.modulus)
 
-    def _mul_idx(self, i: int, j: int) -> int:
+    def _mul_idx(self, i: Index, j: Index) -> Index:
+        if isinstance(i, np.ndarray) or isinstance(j, np.ndarray):
+            return self.tables.mul(i, j)
         if i == 0 or j == 0:
             return 0
         if self._fexp is not None:
@@ -575,7 +614,9 @@ class Field:
             return self._fexp[(self._flog[i] + self._flog[j]) % group] if group > 1 else 1
         return self._kernel.mul_idx(i, j)
 
-    def _pow_idx(self, i: int, k: int) -> int:
+    def _pow_idx(self, i: Index, k: int) -> Index:
+        if isinstance(i, np.ndarray):
+            return self.tables.pow(i, k)
         if k == 0:
             return 1
         if i == 0:
@@ -588,7 +629,9 @@ class Field:
             return self._fexp[self._flog[i] * k % group]
         return self._kernel.pow_idx(i, k)
 
-    def _inv_idx(self, i: int) -> int:
+    def _inv_idx(self, i: Index) -> Index:
+        if isinstance(i, np.ndarray):
+            return self.tables.inv_of(i)
         if i == 0:
             raise ZeroDivisionError("inverse of zero")
         if self._fexp is not None:
@@ -672,11 +715,15 @@ class FieldTables:
         else:
             self.neg = np.zeros(q, dtype=np.int64)
             self.neg[self.exp] = self.exp[(ks + group // 2) % group]
+        # zero folded in: _zlog reads log 0 as 2L (L = Q - 1) and _zexp is exp
+        # twice, then 2L + 1 zeros, so _zexp[_zlog[u] + _zlog[v]] is u v
+        self._zlog = self.log.copy()
+        self._zlog[0] = 2 * group
+        self._zexp = np.concatenate([self.exp, self.exp, np.zeros(2 * group + 1, dtype=np.int64)])
 
         self._zech = None
         if p != 2 and field.degree > 1:
             self._build_zech()
-
 
     def _find_generator(self) -> int:
         f = self.field
@@ -717,7 +764,7 @@ class FieldTables:
         - v = 0: 0, so the exp index is lu;
         - both zero: the difference is 0 and the exp index 2L + Z[0].
 
-        _zexp is exp twice, then L zeros, so exp indices in [2L, 3L) give 0.
+        Exp indices in [2L, 3L) land in the zero tail of _zexp.
         """
         p, L = self.p, self.order - 1
         # index of 1 + g^k: add one to the constant digit
@@ -729,9 +776,6 @@ class FieldTables:
         zech[-(L - 1):] = z[1:]
         zech[2 * L + 1:3 * L + 1] = np.arange(-2 * L, -L, dtype=np.int64)
         self._zech = zech
-        self._zexp = np.concatenate([self.exp, self.exp, np.zeros(L, dtype=np.int64)])
-        self._zlog = self.log.copy()
-        self._zlog[0] = 2 * L
 
     @cached_property
     def dig(self) -> np.ndarray:
@@ -752,11 +796,7 @@ class FieldTables:
         return self._zech_add(u, v)
 
     def sub(self, u, v):
-        if self.p == 2:
-            return np.bitwise_xor(u, v)
-        if self._zech is None:
-            return np.subtract(u, v) % self.p
-        return self._zech_add(u, self.neg[v])
+        return self.add(u, self.neg[v])
 
     def sum_terms(self, stack):
         """Field sum along the first axis of a stacked index array."""
@@ -775,10 +815,7 @@ class FieldTables:
         return stack[0]
 
     def mul(self, u, v):
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        out = self.exp[(self.log[u] + self.log[v]) % max(self.order - 1, 1)]
-        return np.where((u == 0) | (v == 0), 0, out)
+        return self._zexp[self._zlog[u] + self._zlog[v]]
 
     def pow(self, u, k: int):
         u = np.asarray(u, dtype=np.int64)
@@ -793,6 +830,6 @@ class FieldTables:
 
     def inv_of(self, u):
         u = np.asarray(u, dtype=np.int64)
-        if np.any(u == 0):
+        if not u.all():
             raise ZeroDivisionError("inverse of zero")
         return self.inv[u]

@@ -51,18 +51,7 @@ class Poly:
         if isinstance(coeffs, np.ndarray) and coeffs.dtype == np.int64:
             arr = coeffs
         else:
-            vals = []
-            for c in coeffs:
-                if isinstance(c, FieldElement):
-                    if c.field != field:
-                        raise TypeError("coefficient from a different field")
-                    vals.append(c.index)
-                else:
-                    k = int(c)
-                    if not 0 <= k < field.order:
-                        raise ValueError(f"coefficient index {k} out of range")
-                    vals.append(k)
-            arr = np.array(vals, dtype=np.int64)
+            arr = np.array([field.element(c).index for c in coeffs], dtype=np.int64)
         nz = np.nonzero(arr)[0]
         self.idx = arr[: nz[-1] + 1].copy() if len(nz) else np.empty(0, dtype=np.int64)
 
@@ -116,20 +105,12 @@ class Poly:
     # -- evaluation -----------------------------------------------------------
 
     def __call__(self, x: FieldElement) -> FieldElement:
+        """Value at x, an element or an index-array element, summed over the nonzero terms."""
         if x.field != self.field:
             raise TypeError("point from a different field")
         acc = self.field.zero
-        for k in range(len(self.idx) - 1, -1, -1):
-            acc = acc * x + FieldElement(self.field, int(self.idx[k]))
-        return acc
-
-    def eval_terms(self, u: np.ndarray) -> np.ndarray:
-        """Vectorised evaluation via nonzero terms (cheap for sparse polynomials)."""
-        T = self.field.tables
-        u = np.asarray(u, dtype=np.int64)
-        acc = np.zeros_like(u)
-        for k in np.nonzero(self.idx)[0]:
-            acc = T.add(acc, T.mul(np.int64(self.idx[k]), T.pow(u, int(k))))
+        for k, c in self.terms():
+            acc = acc + c * x ** k
         return acc
 
     # -- ring operations --------------------------------------------------------
@@ -310,9 +291,22 @@ def _fold(field: Field, exps: np.ndarray, coeffs: np.ndarray) -> Poly:
     Q = field.order
     T = field.tables
     tgt = np.where(exps < Q, exps, (exps - 1) % (Q - 1) + 1)
-    acc = np.zeros((Q, field.degree), dtype=np.int64)
+    acc = np.zeros((tgt.max(initial=0) + 1, field.degree), dtype=np.int64)
     np.add.at(acc, tgt, T.dig[coeffs])
     return Poly(field, (acc % field.p) @ T.pw)
+
+
+def poly_from_terms(field: Field, terms) -> Poly:
+    """Reduced polynomial from (exponent, coefficient) pairs, by _fold.
+
+    Exponents >= Q are folded as Python integers first, so arbitrarily large
+    printed exponents stay cheap.  Like every Poly operation this needs the
+    field's tables, so a larger field is refused with ValueError.
+    """
+    Q = field.order
+    pairs = [(k if k < Q else (k - 1) % (Q - 1) + 1, field.element(c).index) for k, c in terms]
+    exps, coeffs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return _fold(field, exps, coeffs)
 
 
 def family_poly(field: Field, s: int, t: int, a: FieldElement) -> Poly:

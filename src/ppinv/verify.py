@@ -95,7 +95,8 @@ def check_family(
     crit = params.criterion_mask(a_sel)
     bij = bijection_mask(images)
     form = special.route_special(field, params.m, params.s, params.t) if with_special else None
-    xs = np.arange(field.order, dtype=np.int64)
+    points = field.all_elements()
+    xs = points.index
     results = []
     for row, a_idx in enumerate(a_sel):
         rec = FamilyCheck(a=int(a_idx), criterion=bool(crit[row]), bijective=bool(bij[row]))
@@ -113,11 +114,8 @@ def check_family(
                 oracle_poly = inverse_poly_by_interpolation(PermTable(field, img))
                 rec.symbolic_ok = sym == oracle_poly
             if form:
-                rec.special_ok = all(
-                    special.evaluate_special(form, field, params.m, a, field.element(y)).index
-                    == inv_vals[y]
-                    for y in range(field.order)
-                )
+                value = special.evaluate_special(form, field, params.m, a, points)
+                rec.special_ok = bool((value.index == inv_vals).all())
         results.append(rec)
     return results
 

@@ -194,3 +194,31 @@ def test_survey_unwritable_path(capsys):
     code, _, err = run(capsys, "survey", "--max-order", "4", "--out", "/nonexistent-dir/x.csv")
     assert code == 2
     assert "error" in err
+
+
+def test_symbolic_above_table_limit_exits_2_under_memory_cap():
+    # h has an x^(2^30 - 1) term here; densifying it would need 8 GiB.  The
+    # address-space cap applies to the child process only, so a regression
+    # fails with MemoryError instead of exhausting the host.
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ppinv
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(ppinv.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["invert", "--field", "2^1^32", "--m", "2", "--s", "3", "--t", "1", "--a", "3", "--symbolic"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ppinv.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "too large for dense tables" in proc.stderr
+    assert proc.stdout == ""

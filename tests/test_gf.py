@@ -1,7 +1,11 @@
 """Field construction and element arithmetic."""
 
+import operator
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppinv.gf import Field, FieldElement, _kernel, first_irreducible, is_prime, prime_factors
 
@@ -429,3 +433,74 @@ def test_tables_hand_back_is_explicit():
     assert F._fexp is None and F._flog is None
     assert F.tables is F.tables
     assert F._fexp == T.exp.tolist() and F._flog == T.log.tolist()
+
+
+# -- index-array elements against scalar elements -----------------------------
+
+ARRAY_LIMIT = 2 ** 20
+
+
+@lru_cache(maxsize=None)
+def _array_fields(p: int, e: int, n: int) -> tuple[Field, Field]:
+    """The split with tables (for arrays) and a bare copy (packed-kernel scalars)."""
+    field = Field(p, e, n)
+    field.tables
+    return field, Field(p, e, n)
+
+
+@st.composite
+def _small_splits(draw):
+    degree = draw(st.integers(1, 20))
+    top = int(round(ARRAY_LIMIT ** (1 / degree)))
+    while top ** degree > ARRAY_LIMIT:
+        top -= 1
+    x = draw(st.integers(2, max(top, 2)))
+    p = next(c for c in range(x, 1, -1) if is_prime(c))
+    e = draw(st.sampled_from([e for e in range(1, degree + 1) if degree % e == 0]))
+    return p, e, degree // e
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data(), split=_small_splits())
+def test_array_elements_match_scalar_elements(data, split):
+    field, bare = _array_fields(*split)
+    Q = field.order
+    assert Q <= ARRAY_LIMIT
+    index = st.integers(0, Q - 1)
+    u = [0, Q - 1] + data.draw(st.lists(index, min_size=1, max_size=6), label="u")
+    v = data.draw(st.lists(index, min_size=len(u), max_size=len(u)), label="v")
+    c = data.draw(index, label="c")
+    k = data.draw(st.integers(1, 2 * Q), label="k")
+    U, V, C = field.element(np.array(u)), field.element(np.array(v)), field(c)
+
+    def scalars(fn, *columns):
+        return [fn(*(bare(x) for x in xs)).index for xs in zip(*columns)]
+
+    for op in (operator.add, operator.sub, operator.mul):
+        assert op(U, V).index.tolist() == scalars(op, u, v)
+        assert op(U, C).index.tolist() == scalars(lambda x: op(x, bare(c)), u)
+        assert op(C, U).index.tolist() == scalars(lambda x: op(bare(c), x), u)
+    grid = field.element(U.index[:, None]) * field.element(V.index[None, :]) + C
+    assert grid.index.tolist() == [[(bare(x) * bare(y) + bare(c)).index for y in v] for x in u]
+    assert (-U).index.tolist() == scalars(operator.neg, u)
+    assert (U ** k).index.tolist() == scalars(lambda x: x ** k, u)
+    assert (U ** 0).index.tolist() == [1] * len(u)
+
+    units = [y or 1 for y in v]
+    W = field.element(np.array(units))
+    assert (U / W).index.tolist() == scalars(operator.truediv, u, units)
+    assert (C / W).index.tolist() == scalars(lambda y: bare(c) / y, units)
+    if c:
+        assert (U / C).index.tolist() == scalars(lambda x: x / bare(c), u)
+    with pytest.raises(ZeroDivisionError):
+        C / U  # u holds 0
+    with pytest.raises(ZeroDivisionError):
+        U.inverse()
+
+    assert (U == V).tolist() == [x == y for x, y in zip(u, v)]
+    assert (U != V).tolist() == [x != y for x, y in zip(u, v)]
+    assert (U == C).tolist() == [x == c for x in u]
+    assert (C == U).tolist() == [x == c for x in u]
+    for bad in ([Q], [-1], [0, Q + 5]):
+        with pytest.raises(ValueError):
+            field.element(np.array(bad))

@@ -191,6 +191,6 @@ def test_eval_terms_matches_scalar():
 
     F9 = Field(3, 1, 2)
     for p in (Poly(F9, [2, 7, 0, 5, 1]), Poly.monomial(F9, 7, 4)):
-        got = p.eval_terms(np.arange(9))
+        got = p(F9.element(np.arange(9))).index
         for x in F9.elements():
             assert got[x.index] == p(x).index

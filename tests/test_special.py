@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ppinv.family import NotPermutationError, PPParams, gcd_halfpower
 from ppinv.gf import Field
 from ppinv.special import (
+    evaluate_special,
     g2_value,
     gf5_s2t2_inverse,
     gf7_s2t3_inverse,
@@ -20,6 +22,7 @@ from ppinv.special import (
     t2_inverse,
     triple_indices,
 )
+from ppinv.verify import factor_pairs, field_splits
 
 
 def pp_values(params):
@@ -227,3 +230,25 @@ def test_routing():
     assert route_special(Field(5, 1, 2), 2, 12, 2) is None   # t=2 but m = n
     assert route_special(Field(5, 1, 1), 1, 4, 1) is None    # t = 1
     assert route_special(Field(5, 2, 1), 1, 2, 2) is None    # e != 1 blocks cor3; m=n blocks thm31
+
+
+def test_special_forms_on_arrays_match_scalars():
+    """Each routed form on the whole-field array equals its per-y scalar values."""
+    rng = np.random.default_rng(20181231)
+    forms = set()
+    for split in field_splits(343):
+        field = Field(*split)
+        bare = Field(*split)  # scalars on the packed kernel, apart from the tables
+        for m in range(1, field.n + 1):
+            for s, t in factor_pairs(field.q ** m - 1):
+                form = route_special(field, m, s, t)
+                if not form:
+                    continue
+                params = PPParams(field, m, s, t)
+                pp = [a for a in range(1, field.order) if params.is_permutation(a)]
+                for a in rng.choice(pp, size=min(3, len(pp)), replace=False).tolist():
+                    got = evaluate_special(form, field, m, field(a), field.all_elements())
+                    want = [evaluate_special(form, bare, m, bare(a), bare(y)).index for y in range(field.order)]
+                    assert got.index.tolist() == want, (form, split, m, a)
+                forms.add(form)
+    assert forms == {"cor3", "cor4", "cor5", "thm31"}
