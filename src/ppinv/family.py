@@ -80,10 +80,14 @@ class PPParams:
 
         Rejects a up front when the criterion fails, since the denominator
         N(y^s) - N(a) of the inverse is only provably nonzero for permutations.
+        An index-array a is rejected if any of its entries fails, naming the
+        first one.
         """
         a = self._unit(a)
-        if not self.is_permutation(a):
-            raise NotPermutationError(f"a={a.index} is an s-th power; f is not a permutation")
+        fails = np.logical_not(self.is_permutation(a))
+        if fails.any():
+            first = np.extract(fails, a.index)[0]
+            raise NotPermutationError(f"a={first} is an s-th power; f is not a permutation")
         return a, a ** self._norm_exp
 
     def _h_coeffs(self, a: FieldElement) -> list[FieldElement]:

@@ -4,9 +4,12 @@ check_family runs, for one parameter set, the fast vectorised comparison of
 the permutation criterion against oracle bijectivity, the two-sided inverse
 composition laws, optional symbolic-versus-interpolation coefficient
 equality, and optional agreement of the specialised formulas with the
-general inverse.  The survey iterates this over every field split up to a
-requested order with a fixed row order, so its CSV output is reproducible
-byte for byte.
+general inverse.  It walks the a values in chunks whose arrays hold at most
+CHUNK field points, so its memory does not grow with the number of a: each
+chunk makes one array call for the images, the criterion and the inverse of
+every permuting a, and each inverse is computed once.  The survey iterates
+this over every field split up to a requested order with a fixed row order,
+so its CSV output is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from .family import PPParams
 from .gf import Field
 from .oracle import PermTable, check_cap, inverse_poly_by_interpolation
 from .poly import check_interp_limit
+
+# field points per check_family chunk: one row at the 2^16 oracle cap
+CHUNK = 1 << 16
 
 
 def factor_pairs(v: int) -> list[tuple[int, int]]:
@@ -85,39 +91,61 @@ def check_family(
     with_special: bool = False,
     cap: int | None = None,
 ) -> list[FamilyCheck]:
-    """Criterion-versus-oracle sweep over the selected a values."""
+    """Criterion-versus-oracle sweep over the selected a values.
+
+    One record per selected a, in selection order.  The a values are taken
+    in chunks of max(1, CHUNK // Q), so each chunk's (rows x Q) arrays hold
+    at most CHUNK points, or one row when Q > CHUNK.  Per chunk, one array
+    inverse_value call gives the inverse of every a that passes both the
+    criterion and the oracle; the two-sided check, the special form and the
+    symbolic comparison all read that a's row of it.
+    """
     field = params.field
     check_cap(field, cap)
     if symbolic:
         check_interp_limit(field)
     a_sel = params.a_indices(a_indices)
-    images = params.images_for(a_sel)
-    crit = params.criterion_mask(a_sel)
-    bij = bijection_mask(images)
     form = special.route_special(field, params.m, params.s, params.t) if with_special else None
+    step = max(1, CHUNK // field.order)
+    results = []
+    for start in range(0, len(a_sel), step):
+        results += _check_chunk(params, a_sel[start:start + step], symbolic, form)
+    return results
+
+
+def _check_chunk(
+    params: PPParams, a_chunk: np.ndarray, symbolic: bool, form: str | None
+) -> list[FamilyCheck]:
+    field = params.field
     points = field.all_elements()
     xs = points.index
-    results = []
-    for row, a_idx in enumerate(a_sel):
-        rec = FamilyCheck(a=int(a_idx), criterion=bool(crit[row]), bijective=bool(bij[row]))
+    images = params.images_for(a_chunk)
+    crit = params.criterion_mask(a_chunk)
+    bij = bijection_mask(images)
+    recs = [
+        FamilyCheck(a=int(a), criterion=bool(c), bijective=bool(b), special_form=form or "")
+        for a, c, b in zip(a_chunk, crit, bij)
+    ]
+    rows = np.nonzero(crit & bij)[0]
+    if not rows.size:
+        return recs
+    inv = params.inverse_value(field.element(a_chunk[rows][:, None]), points).index
+    img = images[rows]
+    inverse_ok = (
+        (np.take_along_axis(inv, img, axis=1) == xs).all(axis=1)
+        & (np.take_along_axis(img, inv, axis=1) == xs).all(axis=1)
+    )
+    for k, row in enumerate(rows):
+        rec = recs[row]
+        rec.inverse_ok = bool(inverse_ok[k])
+        a = field.element(rec.a)
+        if symbolic:
+            oracle_poly = inverse_poly_by_interpolation(PermTable(field, img[k]))
+            rec.symbolic_ok = params.inverse_polynomial(a) == oracle_poly
         if form:
-            rec.special_form = form
-        if rec.criterion and rec.bijective:
-            a = field.element(int(a_idx))
-            inv_vals = params.inverse_values(a)
-            img = images[row]
-            rec.inverse_ok = bool(
-                (inv_vals[img] == xs).all() and (img[inv_vals] == xs).all()
-            )
-            if symbolic:
-                sym = params.inverse_polynomial(a)
-                oracle_poly = inverse_poly_by_interpolation(PermTable(field, img))
-                rec.symbolic_ok = sym == oracle_poly
-            if form:
-                value = special.evaluate_special(form, field, params.m, a, points)
-                rec.special_ok = bool((value.index == inv_vals).all())
-        results.append(rec)
-    return results
+            value = special.evaluate_special(form, field, params.m, a, points)
+            rec.special_ok = bool((value.index == inv[k]).all())
+    return recs
 
 
 SURVEY_COLUMNS = (

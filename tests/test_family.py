@@ -99,6 +99,26 @@ def test_inverse_rejected_for_non_pp():
         prm.inverse_values(F5(4))
 
 
+def test_inverse_value_over_an_array_of_a():
+    field = Field(3, 1, 4)
+    prm = PPParams(field, 4, 2, 40)
+    crit = prm.criterion_mask()
+    good = np.nonzero(crit)[0] + 1
+    bad = np.nonzero(~crit)[0] + 1
+    assert good.size and bad.size
+    ys = field.all_elements()
+    rows = prm.inverse_value(field.element(good[:, None]), ys).index
+    assert rows.shape == (good.size, field.order)
+    for row, a in zip(rows, good):
+        assert (row == prm.inverse_values(field(int(a)))).all(), a
+    # one failing a rejects the whole array and is named in the error
+    mixed = np.array([good[0], bad[1], good[1], bad[0]])
+    with pytest.raises(NotPermutationError, match=f"a={bad[1]} is an s-th power"):
+        prm.inverse_value(field.element(mixed[:, None]), ys)
+    with pytest.raises(NotPermutationError, match=f"a={bad[0]} is an s-th power"):
+        prm.inverse_value(field.element(bad[:, None]), ys)
+
+
 def test_criterion_matches_oracle_bijectivity():
     for spec in [(2, 1, 3), (3, 1, 2), (5, 1, 1), (7, 1, 1), (2, 2, 2), (3, 1, 3)]:
         field = Field(*spec)

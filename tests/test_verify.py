@@ -2,14 +2,19 @@
 
 import csv
 import io
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from ppinv import special
 from ppinv.family import PPParams
 from ppinv.gf import Field
-from ppinv.oracle import CapExceededError
+from ppinv.oracle import CapExceededError, PermTable, inverse_poly_by_interpolation
 from ppinv.verify import (
+    CHUNK,
     SURVEY_COLUMNS,
+    FamilyCheck,
     bijection_mask,
     check_family,
     factor_pairs,
@@ -78,6 +83,117 @@ def test_check_family_selection_and_cap():
     assert len(recs) == 1 and recs[0].a == 2 and recs[0].inverse_ok
     with pytest.raises(CapExceededError):
         check_family(params, cap=3)
+
+
+def per_a_family(params, a_sel, symbolic=False, with_special=False):
+    """check_family's records, built one a at a time with no batching."""
+    field = params.field
+    form = special.route_special(field, params.m, params.s, params.t) if with_special else None
+    points = field.all_elements()
+    xs = points.index
+    out = []
+    for a_idx in a_sel:
+        img = params.images_for([a_idx])[0]
+        rec = FamilyCheck(
+            a=int(a_idx),
+            criterion=bool(params.criterion_mask([a_idx])[0]),
+            bijective=bool(bijection_mask(img[None, :])[0]),
+            special_form=form or "",
+        )
+        if rec.criterion and rec.bijective:
+            a = field(int(a_idx))
+            inv = params.inverse_values(a)
+            rec.inverse_ok = bool((inv[img] == xs).all() and (img[inv] == xs).all())
+            if symbolic:
+                oracle_poly = inverse_poly_by_interpolation(PermTable(field, img))
+                rec.symbolic_ok = params.inverse_polynomial(a) == oracle_poly
+            if form:
+                value = special.evaluate_special(form, field, params.m, a, points)
+                rec.special_ok = bool((value.index == inv).all())
+        out.append(rec)
+    return out
+
+
+def assert_matches_per_a(params, a_sel=None, **flags):
+    recs = check_family(params, a_sel, **flags)
+    expected = per_a_family(params, params.a_indices(a_sel), **flags)
+    assert recs == expected, params
+    return recs
+
+
+def test_check_family_chunks_match_per_a_on_all_a(monkeypatch):
+    field = Field(3, 1, 6)
+    params = PPParams(field, 2, 4, 2)
+    step = CHUNK // field.order
+    assert -(-(field.order - 1) // step) == 9  # 728 a in nine chunks
+    calls = []
+    original = PPParams.inverse_value
+
+    def counted(self, a, y):
+        calls.append(np.shape(a.index))
+        return original(self, a, y)
+
+    monkeypatch.setattr(PPParams, "inverse_value", counted)
+    recs = check_family(params)
+    monkeypatch.setattr(PPParams, "inverse_value", original)
+    assert len(calls) == 9 and all(shape[0] <= step for shape in calls)
+    assert recs == per_a_family(params, range(1, field.order))
+    assert any(r.inverse_ok for r in recs) and not all(r.criterion for r in recs)
+
+
+def test_check_family_one_a_per_chunk_on_2_16():
+    field = Field(2, 1, 16)
+    params = PPParams(field, 16, 3, 21845)
+    assert CHUNK // field.order == 1
+    recs = assert_matches_per_a(params, [1, 2, 3, 1000, 65535])
+    assert {r.criterion for r in recs} == {True, False}
+
+
+def test_check_family_selection_order_duplicates_and_empty():
+    params = PPParams(Field(3, 1, 6), 6, 8, 91)
+    recs = assert_matches_per_a(params, [700, 3, 3, 1, 700, 42])
+    assert [r.a for r in recs] == [700, 3, 3, 1, 700, 42]
+    assert check_family(params, []) == []
+
+
+def test_check_family_where_no_a_permutes():
+    params = PPParams(Field(2, 1, 3), 3, 1, 7)
+    assert params.s_bar == 1
+    recs = assert_matches_per_a(params)
+    assert not any(r.criterion or r.bijective for r in recs)
+    assert all(r.inverse_ok is None for r in recs)
+
+
+@pytest.mark.parametrize("spec, mst, form", [
+    ((3, 1, 3), (2, 4, 2), "thm31"),
+    ((5, 1, 2), (1, 2, 2), "cor3"),
+])
+def test_check_family_special_forms_match_per_a(spec, mst, form):
+    params = PPParams(Field(*spec), *mst)
+    recs = assert_matches_per_a(params, with_special=True)
+    assert all(r.special_form == form for r in recs)
+    assert any(r.special_ok for r in recs)
+
+
+def test_check_family_symbolic_matches_per_a():
+    field = Field(5)
+    for s, t in factor_pairs(4):
+        recs = assert_matches_per_a(PPParams(field, 1, s, t), symbolic=True)
+        assert all(r.symbolic_ok is (True if r.criterion else None) for r in recs)
+
+
+def test_check_family_memory_is_bounded_by_the_chunk():
+    field = Field(2, 1, 12)
+    field.tables
+    params = PPParams(field, 12, 3, 1365)
+    tracemalloc.start()
+    try:
+        recs = check_family(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(recs) == field.order - 1 and all(not r.mismatch for r in recs)
+    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_a_indices_outside_the_units_are_rejected():
