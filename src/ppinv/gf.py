@@ -682,9 +682,9 @@ class FieldTables:
       u + v = g^(log u + Z[log v - log u]) with Z[k] = log(1 + g^k), which is
       undefined where g^k = -1, i.e. at k = (Q - 1)/2.
 
-    The digit matrix ``dig`` is built on first use: only Poly's digit
-    convolution and coefficient folding need it.  Built lazily via
-    Field.tables.
+    The digit matrix ``dig`` and the digits ``xpow`` of x^0 .. x^(2D-2) are
+    built on first use: only Poly's FFT product and coefficient folding need
+    them.  Built lazily via Field.tables.
     """
 
     def __init__(self, field: Field):
@@ -781,6 +781,13 @@ class FieldTables:
     def dig(self) -> np.ndarray:
         """(Q, D) base-p digits of every index."""
         return np.arange(self.order, dtype=np.int64)[:, None] // self.pw % self.p
+
+    @cached_property
+    def xpow(self) -> np.ndarray:
+        """(2D - 1, D) digits of x^w for w < 2D - 1; x has index p."""
+        f, D = self.field, self.field.degree
+        high = [f._pow_idx(self.p, w) for w in range(D, 2 * D - 1)]
+        return np.vstack([np.eye(D, dtype=np.int64), self.dig[high]])
 
     # all methods take and return int64 index arrays (broadcastable)
 

@@ -1,21 +1,30 @@
 """Dense univariate polynomials over a finite field.
 
 Coefficients are stored little-endian as an int64 array of element indices.
-Reduction mod x^Q - x (Q the field order) uses the exponent rule
-k -> ((k - 1) mod (Q - 1)) + 1 for k >= Q, which never sends a positive
-exponent to 0 and therefore preserves the induced function on the whole
-field, including at 0.  Two reduced polynomials are equal iff they induce
-the same function.
+A product is one exact float64 FFT convolution of the operands' base-p digit
+matrices (Poly.__mul__); interpolation uses the group-sum formula, in blocks
+of bounded size.  Reduction mod x^Q - x (Q the field order) uses the
+exponent rule k -> ((k - 1) mod (Q - 1)) + 1 for k >= Q, which never sends
+a positive exponent to 0 and therefore preserves the induced function on
+the whole field, including at 0.  Two reduced polynomials are equal iff
+they induce the same function.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .gf import Field, FieldElement
 
-# Interpolation does Q^2 work and holds (Q - 1)^2 temporaries per call.
+# Interpolation does Q^2 work, in blocks of at most INTERP_BLOCK group-sum
+# terms, so its temporaries stay small whatever Q is.  A block of int64 terms
+# is 128 KiB, glibc's default mmap threshold: 2^16-term blocks, interleaved
+# with Poly products, were unmapped and faulted in again on every call
+# (about 5x the minor page faults, interpolation about 30% slower).
 INTERP_LIMIT = 2048
+INTERP_BLOCK = 1 << 14
 
 
 def check_interp_limit(field: Field):
@@ -39,6 +48,32 @@ def _comb_mod_p(t: int, k: int, p: int) -> int:
         t //= p
         k //= p
     return out
+
+
+def _limb_split(p: int, digits: int, la: int, lb: int) -> tuple[int, int]:
+    """Fewest limbs r, and their bit width, that keep an FFT product exact.
+
+    Each base-p digit is split into r limbs of ceil(log2 p / r) bits.  By
+    Percival's bound (Math. Comp. 72 (2003) 387-395), a float64 FFT
+    convolution of length N = 2^n misses x * y by less than
+    |x| |y| ((1 + e)^(3n) (1 + e sqrt 5)^(3n + 1) (1 + b)^(3n) - 1) in every
+    entry, with e = 2^-53 and b, the error of the roots of unity, taken as e.
+    An output digit sums digits * r such products in the frequency domain
+    (one more factor (1 + e) each), and |x| <= top sqrt(len) for limbs of at
+    most top.  The bound must stay below 1/4, half of what rounding to the
+    nearest integer needs, as margin for numpy's real radix-4 transforms.
+    """
+    n = (la + lb - 2).bit_length()
+    width = (p - 1).bit_length()
+    eps = 2.0 ** -53
+    for r in range(1, width + 1):
+        bits = -(-width // r)
+        top = min(p - 1, (1 << bits) - 1)
+        terms = digits * r
+        grow = math.expm1((6 * n + terms) * math.log1p(eps) + (3 * n + 1) * math.log1p(eps * math.sqrt(5)))
+        if terms * top * top * math.sqrt(la * lb) * grow < 0.25:
+            return r, bits
+    raise ValueError("polynomials too long for an exact float64 product")
 
 
 class Poly:
@@ -147,34 +182,49 @@ class Poly:
         return Poly(self.field, np.concatenate([np.zeros(k, dtype=np.int64), self.idx]))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        """Plain (unreduced) product via per-digit convolution."""
+        """Plain (unreduced) product by one float64 FFT convolution.
+
+        Each operand's base-p digit matrix is transformed once along the
+        coefficient axis.  Digit u of one operand times digit v of the other
+        lands on digit u + v, so the digit axis is convolved as at most D
+        broadcast multiply-adds of spectra; one inverse transform and np.rint
+        then give the exact integer digit sums, since _limb_split keeps the
+        rounding error below 1/4 (for large p by splitting digits into limbs,
+        which adds a second digit-like axis).  Digits u + v >= D fold back
+        through x^(u+v) mod the field modulus.
+        """
         if other.field != self.field:
             raise TypeError("mixed fields")
         if not self or not other:
             return Poly(self.field)
         f = self.field
         T = f.tables
-        D = f.degree
-        A = T.dig[self.idx]
-        B = T.dig[other.idx]
+        D, p = f.degree, f.p
         la, lb = len(self.idx), len(other.idx)
-        C = np.zeros((la + lb - 1, 2 * D - 1), dtype=np.int64)
-        for u in range(D):
-            if not A[:, u].any():
-                continue
-            for v in range(D):
-                if B[:, v].any():
-                    C[:, u + v] += np.convolve(A[:, u], B[:, v])
-        # fold digit powers y^(D+k) back below the element modulus
-        if D > 1:
-            # digits of x^(D+k) mod the field modulus; x has index p
-            red = T.dig[[f._pow_idx(f.p, D + k) for k in range(D - 1)]]
-            for k in range(2 * D - 2, D - 1, -1):
-                col = C[:, k]
-                if col.any():
-                    C[:, :D] += col[:, None] * red[k - D]
-        C = C[:, :D] % f.p
-        return Poly(f, C @ T.pw)
+        r, bits = _limb_split(p, D, la, lb)
+        size = 1 << (la + lb - 2).bit_length()
+        shifts = bits * np.arange(r)[:, None]
+
+        def spectrum(idx):
+            # axes: digit u, limb i, coefficient; digits above the highest
+            # nonzero one are dropped (a nonzero poly has one)
+            limbs = T.dig[idx].T[:, None] >> shifts & (1 << bits) - 1
+            return np.fft.rfft(limbs[: np.flatnonzero(limbs.any(axis=(1, 2)))[-1] + 1], n=size)
+
+        A, B = spectrum(self.idx), spectrum(other.idx)
+        C = np.zeros((len(A) + len(B) - 1, 2 * r - 1, size // 2 + 1), dtype=np.complex128)
+        for u in range(len(A)):
+            for i in range(r):
+                C[u:u + len(B), i:i + r] += A[u, i] * B
+        C = np.rint(np.fft.irfft(C, n=size)[..., : la + lb - 1])
+        C -= p * np.rint(C * (1 / p))  # now |C| <= p/2 + 1, congruent mod p
+        # limb sum l of digit w weighs 2^(bits l) x^w, and x^w for w >= D folds
+        # back below the field modulus; in float64 this is exact, each sum
+        # having (2D - 1)(2r - 1) terms below p (p/2 + 1)
+        weights = [pow(2, bits * k, p) for k in range(2 * r - 1)]
+        fold = np.multiply.outer(T.xpow[: len(C)].T, weights).reshape(D, -1) % p
+        C = (fold @ C.reshape(fold.shape[1], -1)).astype(np.int64) % p
+        return Poly(f, T.pw @ C)
 
     def reduce(self) -> "Poly":
         """Canonical representative of the induced function (degree < Q)."""
@@ -194,11 +244,12 @@ class Poly:
         return _fold(f, kk * f.p, f.tables.frob[self.idx[kk]])
 
     def _small_pow(self, k: int) -> "Poly":
-        result = Poly.one(self.field)
+        """k-th power for k >= 1, by square and multiply."""
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result.mul_mod(base)
+                result = base if result is None else result.mul_mod(base)
             k >>= 1
             if k:
                 base = base.mul_mod(base)
@@ -260,7 +311,7 @@ class Poly:
         ch. 7): with g the table generator and L = Q - 1, c_0 = F(0),
         c_k = -sum_j F(g^j) g^(-jk) for 1 <= k < L, and c_L = -sum_x F(x).
         Each term is one exp-table gather in the log domain, over the j with
-        F(g^j) != 0.
+        F(g^j) != 0, taken in blocks of at most INTERP_BLOCK terms.
         """
         check_interp_limit(field)
         Q = field.order
@@ -273,12 +324,17 @@ class Poly:
         L = Q - 1
         y = y_by_x[T.exp]  # F(g^j), j = 0..L-1
         j = np.flatnonzero(y)
-        # row j, column k - 1: log of F(g^j) g^(-jk) = log F(g^j) + (L - j) k
-        # mod L, for k = 1..L; below Q^2 <= 2^22, so int32 suffices
-        e = np.multiply.outer((L - j).astype(np.int32), np.arange(1, Q, dtype=np.int32))
-        e += T.log[y[j]].astype(np.int32)[:, None]
-        e %= L
-        sums = T.sum_terms(T.exp[e])
+        logs = T.log[y[j]]
+        k = np.arange(1, Q, dtype=np.int64)
+        sums = np.zeros(L, dtype=np.int64)
+        step = max(1, INTERP_BLOCK // L)
+        for lo in range(0, len(j), step):
+            # row j, column k - 1: log of F(g^j) g^(-jk) = log F(g^j) + (L - j) k
+            # mod L, for k = 1..L
+            e = np.multiply.outer(L - j[lo:lo + step], k)
+            e += logs[lo:lo + step, None]
+            e %= L
+            sums = T.add(sums, T.sum_terms(T.exp[e]))
         sums[-1] = T.add(sums[-1], y_by_x[0])  # the k = L sum also takes F(0)
         return cls(field, np.concatenate([y_by_x[:1], T.neg[sums]]))
 

@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ppinv.gf import Field
-from ppinv.poly import Poly, family_poly, _comb_mod_p
+from ppinv.gf import Field, is_prime
+from ppinv.poly import INTERP_LIMIT, Poly, family_poly, _comb_mod_p, _limb_split
 
 
 def rand_poly(field, max_len, rng):
@@ -194,3 +196,133 @@ def test_eval_terms_matches_scalar():
         got = p(F9.element(np.arange(9))).index
         for x in F9.elements():
             assert got[x.index] == p(x).index
+
+
+# -- FFT product against a schoolbook digit convolution ------------------------
+
+def schoolbook_mul(a, b):
+    """Reference product: one integer convolution per pair of base-p digit columns."""
+    f = a.field
+    T = f.tables
+    D, p = f.degree, f.p
+    A, B = T.dig[a.idx], T.dig[b.idx]
+    C = np.zeros((len(a.idx) + len(b.idx) - 1, 2 * D - 1), dtype=np.int64)
+    for u in range(D):
+        for v in range(D):
+            C[:, u + v] = (C[:, u + v] + np.convolve(A[:, u], B[:, v]) % p) % p
+    # x^k for k >= D, from the highest down, folds into the digits below D
+    for k in range(2 * D - 2, D - 1, -1):
+        C[:, :D] = (C[:, :D] + C[:, k:k + 1] * T.dig[f._pow_idx(p, k)]) % p
+    return Poly(f, C[:, :D] @ T.pw)
+
+
+def longest_single_limb(p, degree, cap):
+    """Largest length <= cap at which equal-length operands need no limb split."""
+    lo, hi = 1, cap
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _limb_split(p, degree, mid, mid)[0] == 1:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize(
+    "spec", [(2, 1, 10), (3, 1, 6), (2, 5, 2), (5, 1, 4), (251, 1, 2), (65521, 1, 1), (1048573, 1, 1)]
+)
+def test_fft_product_matches_schoolbook(spec):
+    F = Field(*spec)
+    Q, p, D = F.order, F.p, F.degree
+    rng = np.random.default_rng(Q)
+    # reduced operands are at most Q long; 4096 keeps the reference quick
+    cap = min(Q, 4096)
+    top = longest_single_limb(p, D, cap)
+    assert _limb_split(p, D, top, top)[0] == 1
+    if p > 1000:  # the two large primes need limbs, even below Q
+        assert top < cap and _limb_split(p, D, top + 1, top + 1)[0] > 1
+        assert _limb_split(p, D, Q, Q)[0] > 1
+    worst = np.full(cap, Q - 1, dtype=np.int64)  # every digit p - 1
+    cases = [
+        (worst[:1], worst[:1]),
+        (rng.integers(1, Q, 1), rng.integers(0, Q, 37)),
+        (rng.integers(0, Q, 300), rng.integers(1, Q, 1)),
+        (rng.integers(0, Q, 257), rng.integers(0, Q, 300)),
+        (worst[:top], worst[:top]),
+        (rng.integers(0, Q, top), rng.integers(0, Q, top)),
+        (worst, worst[1:]),
+    ]
+    for ia, ib in cases:
+        a, b = Poly(F, ia), Poly(F, ib)
+        assert a * b == schoolbook_mul(a, b), (len(ia), len(ib))
+
+
+@st.composite
+def _fft_fields(draw):
+    degree = draw(st.integers(1, 12))
+    top = int(round(4096 ** (1 / degree)))
+    while top ** degree > 4096:
+        top -= 1
+    x = draw(st.integers(2, max(top, 2)))
+    p = next(c for c in range(x, 1, -1) if is_prime(c))
+    e = draw(st.sampled_from([e for e in range(1, degree + 1) if degree % e == 0]))
+    return Field(p, e, degree // e)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), field=_fft_fields())
+def test_fft_product_is_pointwise_product(data, field):
+    coeffs = st.lists(st.integers(0, field.order - 1), min_size=1, max_size=48)
+    f = Poly(field, np.array(data.draw(coeffs, label="f"), dtype=np.int64))
+    g = Poly(field, np.array(data.draw(coeffs, label="g"), dtype=np.int64))
+    x = field.element(np.arange(field.order))
+    # a zero operand evaluates to the scalar zero
+    lhs, rhs = (np.broadcast_to(v.index, field.order) for v in ((f * g)(x), f(x) * g(x)))
+    assert np.array_equal(lhs, rhs)
+
+
+def test_p_power_digits_make_no_products(monkeypatch):
+    from ppinv.family import linearized_inverse, linearized_is_permutation, linearized_poly
+
+    calls = []
+    product = Poly.__mul__
+
+    def spy(self, other):
+        calls.append((len(self.idx), len(other.idx)))
+        return product(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", spy)
+    rng = random.Random(19)
+    composed = 0
+    for spec in [(2, 1, 6), (3, 1, 4), (5, 1, 3), (3, 2, 2)]:
+        F = Field(*spec)
+        f = rand_poly(F, F.order, rng)
+        image = f.reduce()
+        for k in range(F.degree + 2):
+            assert f.pow_mod(F.p ** k) == image
+            image = image.frobenius()
+        for m in range(1, F.n):
+            # none when the norm onto F_(q^d), d = gcd(m, n), is always 1 (q^d = 2)
+            a = next((a for a in F.units() if linearized_is_permutation(F, m, a)), None)
+            if a is not None:
+                inverse = linearized_inverse(F, m, a)
+                assert inverse.compose_mod(linearized_poly(F, m, a)) == Poly.x(F)
+                composed += 1
+    assert composed >= 4 and calls == []
+
+
+def test_interpolation_memory_is_bounded():
+    import tracemalloc
+
+    F = Field(2, 1, 11)
+    assert F.order == INTERP_LIMIT
+    F.tables
+    images = np.random.default_rng(3).permutation(F.order)
+    poly = Poly.interpolate(F, images)  # warm-up
+    tracemalloc.start()
+    try:
+        assert Poly.interpolate(F, images) == poly
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
