@@ -49,8 +49,7 @@ class PPParams:
         self.u = math.gcd(t, group // self.s_bar)
         q = field.q
         nd = field.n // self.d
-        # (q^{im}-1)/(q^m-1) and (q^{(i-1)m}-1)/t for i = 1..n/d
-        self._E = [sum(q ** (m * l) for l in range(i)) for i in range(1, nd + 1)]
+        # the exponents (q^{(i-1)m}-1)/t of y in h, i = 1..n/d
         self._G = [_exact_div(q ** ((i - 1) * m) - 1, t) for i in range(1, nd + 1)]
         self._norm_exp = field.norm_exponent(self.d)
         self._crit_exp = group // self.s_bar
@@ -90,10 +89,19 @@ class PPParams:
             raise NotPermutationError(f"a={first} is an s-th power; f is not a permutation")
         return a, a ** self._norm_exp
 
-    def _h_coeffs(self, a: FieldElement) -> list[FieldElement]:
-        """The coefficients a^{-(q^{im}-1)/(q^m-1)} of h, i = 1..n/d."""
-        ainv = a.inverse()
-        return [ainv ** E for E in self._E]
+    def _h_terms(self, ainv: FieldElement, y: FieldElement):
+        """The n/d terms T_i = a^{-(q^{im}-1)/(q^m-1)} y^{(q^{(i-1)m}-1)/t} of h.
+
+        T_1 = a^{-1} and T_{i+1} = T_i^{q^m} * a^{-1} y^s (see ``h_value``).
+        """
+        term = ainv
+        yield term
+        if len(self._G) > 1:
+            w = ainv * y ** self.s
+            qm = self.field.q ** self.m
+            for _ in self._G[1:]:
+                term = term ** qm * w
+                yield term
 
     def criterion_power(self, a) -> FieldElement:
         """a^((q^n-1)/s_bar); f permutes the field iff this is not 1."""
@@ -109,15 +117,22 @@ class PPParams:
         return x * (x ** self.s - a) ** self.t
 
     def h_value(self, a, y) -> FieldElement:
-        """The n/d-term sum h(y) = sum_i a^{-(q^{im}-1)/(q^m-1)} y^{(q^{(i-1)m}-1)/t}.
+        """The n/d-term sum h(y) = sum_i T_i, T_i = a^{-E_i} y^{G_i}.
 
-        The first exponent is 0, so the sum starts from the first coefficient.
+        E_i = (q^{im}-1)/(q^m-1) = 1 + q^m + ... + q^{(i-1)m} and
+        G_i = (q^{(i-1)m}-1)/t = s (1 + q^m + ... + q^{(i-2)m}), using
+        st = q^m - 1.  Hence E_1 = 1, G_1 = 0, E_{i+1} = q^m E_i + 1 and
+        G_{i+1} = q^m G_i + s, so T_1 = a^{-1} and
+        T_{i+1} = T_i^{q^m} * a^{-1} y^s.  On the packed kernels a power to
+        q^m = p^{em} is a Frobenius map, linear on digit vectors, so each later
+        term costs one linear map and one product; the only general powers are
+        a^{-1} and y^s.
         """
         y = self.field.element(y)
-        first, *rest = self._h_coeffs(self._unit(a))
-        acc = first
-        for c, G in zip(rest, self._G[1:]):
-            acc = acc + c * (y ** G)
+        terms = self._h_terms(self._unit(a).inverse(), y)
+        acc = next(terms)
+        for term in terms:  # one term alive at a time, for index arrays
+            acc = acc + term
         return acc
 
     def inverse_value(self, a, y) -> FieldElement:
@@ -139,7 +154,8 @@ class PPParams:
         g_terms = tuple(
             (nu * self.s * (l - 1), n_a ** (self.u - l)) for l in range(1, self.u + 1)
         )
-        h_terms = tuple(zip(self._G, self._h_coeffs(a)))
+        # at y = 1 the terms are the coefficients a^{-E_i}
+        h_terms = tuple(zip(self._G, self._h_terms(a.inverse(), self.field.one)))
         return ClosedInverse(self.field, a, self.t, scale, g_terms, h_terms)
 
     def inverse_polynomial(self, a) -> Poly:

@@ -119,7 +119,16 @@ class _PackedKernel:
     ``pack``/``unpack`` convert between a field index and the packed form;
     ``mul``, ``sqr`` and ``pow`` work on packed values only, so a power
     converts once on the way in and once on the way out.
+
+    A power to k = p^j with 0 < j < D is the Frobenius map, which is
+    F_p-linear on digit vectors: ``pow_idx`` applies it from the images of
+    x^(i k), built on first use of each k by ``_frobenius_map`` and kept in
+    ``_frob`` (keyed by every such k, None until built).
     """
+
+    def __init__(self, p: int, degree: int):
+        self.p, self.degree = p, degree
+        self._frob = dict.fromkeys(p ** j for j in range(1, degree))
 
     def pow(self, a: int, k: int) -> int:
         """a^k for k >= 1, by left-to-right square and multiply."""
@@ -134,10 +143,23 @@ class _PackedKernel:
         return self.mul(a, a)
 
     def pow_idx(self, i: int, k: int) -> int:
-        return self.unpack(self.pow(self.pack(i), k))
+        if k not in self._frob:
+            return self.unpack(self.pow(self.pack(i), k))
+        frob = self._frob[k]
+        if frob is None:
+            frob = self._frob[k] = self._frobenius_map(k)
+        return self.frobenius(frob, i)
 
     def mul_idx(self, i: int, j: int) -> int:
         return self.unpack(self.mul(self.pack(i), self.pack(j)))
+
+    def _frobenius_map(self, k: int) -> list[int]:
+        """Packed x^(i k) for i = 0 .. D-1 (needs D >= 2)."""
+        step = self.pow(self.x, k)
+        images = [1]
+        for _ in range(1, self.degree):
+            images.append(self.mul(images[-1], step))
+        return images
 
 
 class _Gf2Kernel(_PackedKernel):
@@ -150,7 +172,7 @@ class _Gf2Kernel(_PackedKernel):
     """
 
     def __init__(self, modulus):
-        self.degree = len(modulus) - 1
+        super().__init__(2, len(modulus) - 1)
         self.mask = (1 << self.degree) - 1
         self.taps = tuple(i for i, c in enumerate(modulus[:-1]) if c)
         self.x = 2  # x, for degree >= 2
@@ -196,6 +218,25 @@ class _Gf2Kernel(_PackedKernel):
 
     mul_idx = mul
 
+    def _frobenius_map(self, k: int) -> list[list[int]]:
+        """Nibble tables: entry v of table c is the image of the bits v << 4c."""
+        images = super()._frobenius_map(k)
+        tables = []
+        for c in range(0, self.degree, 4):
+            table = [0]
+            for image in images[c:c + 4]:
+                table += [v ^ image for v in table]
+            tables.append(table)
+        return tables
+
+    @staticmethod
+    def frobenius(tables, i: int) -> int:
+        out = 0
+        for table in tables:
+            out ^= table[i & 15]
+            i >>= 4
+        return out
+
 
 class _OddKernel(_PackedKernel):
     """Odd p: Kronecker substitution (Harvey 2009) with W-bit slots.
@@ -220,7 +261,7 @@ class _OddKernel(_PackedKernel):
 
     def __init__(self, p: int, modulus, indexed: bool = True):
         D = len(modulus) - 1
-        self.p, self.degree = p, D
+        super().__init__(p, D)
         bound = max(2 * D * (p - 1) ** 2, (D - 1) * D * (p - 1) ** 3)
         self.shift = s = (bound * p).bit_length()
         self.magic = M = -(-(1 << s) // p)
@@ -262,6 +303,14 @@ class _OddKernel(_PackedKernel):
         prod = a * b
         q = self._mod((prod >> W * D) * self.mu) >> W * (D - 2) if D > 1 else 0
         return self._mod((prod & self.low) + (q * self.negm & self.low))
+
+    def frobenius(self, images, i: int) -> int:
+        """Sum of c_i times the image of x^i; slot sums of at most D (p-1)^2 fit ``_mod``."""
+        p, acc = self.p, 0
+        for image in images:
+            i, c = divmod(i, p)
+            acc += c * image
+        return self.unpack(self._mod(acc))
 
     def _build_conversions(self):
         p, D, W = self.p, self.degree, self.width

@@ -1,6 +1,8 @@
 """Criterion, pointwise and symbolic inverses, linearized binomial, gcd identity."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from ppinv.family import (
     norm_mask,
     poly_from_terms,
 )
+from ppinv import gf
 from ppinv.gf import Field
 from ppinv.oracle import PermTable, inverse_poly_by_interpolation, tabulate
 from ppinv.poly import Poly
@@ -215,6 +218,76 @@ def test_vector_paths_match_scalar():
             iv = prm.inverse_values(a)
             for yv in range(25):
                 assert iv[yv] == prm.inverse_value(a, field(yv)).index
+
+
+def _h_reference(prm, a, y):
+    """The terms a^{-E_i} y^{G_i} of h, with E_i and G_i as geometric sums."""
+    qm = prm.field.q ** prm.m
+    ainv = a.inverse()
+    return [
+        ainv ** sum(qm ** l for l in range(i)) * y ** (prm.s * sum(qm ** l for l in range(i - 1)))
+        for i in range(1, prm.field.n // prm.d + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, m, s",
+    [
+        ((2, 1, 32), 2, 3),
+        ((3, 1, 20), 1, 2),
+        ((7, 1, 11), 1, 3),
+        ((251, 1, 4), 1, 2),
+        ((3, 2, 5), 1, 2),
+        ((3, 2, 5), 2, 16),
+        ((7, 1, 11), 11, 2),  # m = n: n/d = 1
+    ],
+)
+def test_h_recurrence_matches_geometric_exponents(spec, m, s):
+    field = Field(*spec)  # no tables
+    prm = PPParams(field, m, s, (field.q ** m - 1) // s)
+    rng = np.random.default_rng(field.order % 1000)
+    for ai, yi in [(1, 0), (int(rng.integers(1, field.order)), 0), (2, 1)] + [
+        tuple(int(v) for v in rng.integers(1, field.order, 2)) for _ in range(3)
+    ]:
+        a, y = field(ai), field(yi)
+        ref = _h_reference(prm, a, y)
+        assert list(prm._h_terms(a.inverse(), y)) == ref, (ai, yi)
+        assert prm.h_value(a, y) == functools.reduce(operator.add, ref), (ai, yi)
+    assert field._fexp is None
+
+
+@pytest.mark.parametrize("spec, m, s", [((2, 1, 10), 4, 3), ((3, 1, 6), 2, 2), ((5, 1, 4), 4, 4)])
+def test_h_recurrence_on_an_a_column(spec, m, s):
+    # as check_family calls it: a column of a against the whole-field y array
+    field = Field(*spec)
+    prm = PPParams(field, m, s, (field.q ** m - 1) // s)
+    a = field.element(np.arange(1, field.order, 7)[:, None])
+    y = field.all_elements()
+    ref = _h_reference(prm, a, y)
+    got = list(prm._h_terms(a.inverse(), y))
+    assert len(got) == len(ref) == field.n // prm.d
+    for term, expected in zip(got, ref):
+        assert np.array_equal(*np.broadcast_arrays(term.index, expected.index))
+    total = functools.reduce(operator.add, ref)
+    assert np.array_equal(*np.broadcast_arrays(prm.h_value(a, y).index, total.index))
+
+
+def test_h_value_makes_two_general_powers(monkeypatch):
+    # a^{-1} and y^s; every later term is a Frobenius map and one product
+    field = Field(2, 1, 32)
+    prm = PPParams(field, 2, 3, 1)
+    a, y = field(123456789), field(987654321)
+    expected = prm.h_value(a, y)  # builds the map for q^m = 2^2 once
+    calls = []
+    real = gf._PackedKernel.pow
+
+    def spy(self, v, k):
+        calls.append(k)
+        return real(self, v, k)
+
+    monkeypatch.setattr(gf._PackedKernel, "pow", spy)
+    assert prm.h_value(a, y) == expected
+    assert len(calls) <= 2, calls
 
 
 def test_poly_from_terms_folds_large_exponents():

@@ -392,6 +392,29 @@ def test_packed_kernel_matches_schoolbook(spec):
     assert F._fexp is None
 
 
+def _ref_frobenius(p, modulus, i):
+    """i^(p^j) for j = 0 .. D-1: the schoolbook p-th power applied j times."""
+    out = [i]
+    for _ in range(len(modulus) - 2):
+        out.append(_ref_pow(p, modulus, out[-1], p))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec", [(2, 1, 32), (3, 1, 20), (7, 1, 11), (251, 1, 4), (3, 2, 5), (5, 1, 3), (2, 1, 1), (3, 1, 1)]
+)
+def test_p_power_exponents_match_schoolbook(spec):
+    F = Field(*spec)  # no tables: p^j with 0 < j < D takes the kernel's Frobenius map
+    Q, p, D = F.order, F.p, F.degree
+    rng = np.random.default_rng(Q % 1000 + 1)
+    for i in [0, 1, Q - 1] + [int(v) for v in rng.integers(0, Q, 4)]:
+        for j, ref in enumerate(_ref_frobenius(p, F.modulus, i)):
+            assert F._pow_idx(i, p ** j) == ref, (i, j)
+    assert sorted(F._kernel._frob) == [p ** j for j in range(1, D)]
+    assert None not in F._kernel._frob.values()  # every map was built and used
+    assert F._fexp is None
+
+
 @pytest.mark.parametrize("p, degree", [(2, 32), (3, 20), (7, 11), (251, 4), (5, 3)])
 def test_packed_kernel_worst_case_slot_sums(p, degree):
     # The first irreducibles are sparse, so their products stay far below the
@@ -406,6 +429,8 @@ def test_packed_kernel_worst_case_slot_sums(p, degree):
         for j in operands:
             assert K.mul_idx(i, j) == _ref_mul(p, modulus, i, j), (i, j)
         assert K.pow_idx(i, Q - 2) == _ref_pow(p, modulus, i, Q - 2), i
+        for j, ref in enumerate(_ref_frobenius(p, modulus, i)[1:], 1):
+            assert K.pow_idx(i, p ** j) == ref, (i, j)
 
 
 @pytest.mark.parametrize("spec", [(2, 1, 9), (3, 3, 2), (5, 1, 3), (2, 1, 16)])
@@ -471,6 +496,7 @@ def test_array_elements_match_scalar_elements(data, split):
     v = data.draw(st.lists(index, min_size=len(u), max_size=len(u)), label="v")
     c = data.draw(index, label="c")
     k = data.draw(st.integers(1, 2 * Q), label="k")
+    frob = field.p ** data.draw(st.integers(0, field.degree - 1), label="j")
     U, V, C = field.element(np.array(u)), field.element(np.array(v)), field(c)
 
     def scalars(fn, *columns):
@@ -484,6 +510,7 @@ def test_array_elements_match_scalar_elements(data, split):
     assert grid.index.tolist() == [[(bare(x) * bare(y) + bare(c)).index for y in v] for x in u]
     assert (-U).index.tolist() == scalars(operator.neg, u)
     assert (U ** k).index.tolist() == scalars(lambda x: x ** k, u)
+    assert (U ** frob).index.tolist() == scalars(lambda x: x ** frob, u)
     assert (U ** 0).index.tolist() == [1] * len(u)
 
     units = [y or 1 for y in v]
