@@ -3,8 +3,8 @@
 Provides the s-th power non-residue criterion, the pointwise closed-form
 inverse, its symbolic (scale, g, h) decomposition, the inverse of the
 linearized binomial x^{q^m} - ax, and the gcd identity used to select
-branches in the t = 2 specialisation.  All divided exponents such as
-(q^{im}-1)/(q^m-1) are assembled as geometric sums in exact integers.
+branches in the t = 2 specialisation.  The powers a^{-(q^{im}-1)/(q^m-1)}
+of h and of the linearized inverse come from one Frobenius chain.
 """
 
 from __future__ import annotations
@@ -26,6 +26,18 @@ def _exact_div(num: int, den: int) -> int:
     if r:
         raise AssertionError(f"{num} not divisible by {den}")
     return q
+
+
+def frobenius_chain(term: FieldElement, w, qm: int, count: int):
+    """The count terms c_1 = term, c_(i+1) = c_i^qm * w (w unused if count = 1).
+
+    With term = w = a^-1, c_i = a^(-(qm^i - 1)/(qm - 1)).  A power to qm = p^j
+    is a Frobenius map: one linear map on the packed kernels.
+    """
+    yield term
+    for _ in range(count - 1):
+        term = term ** qm * w
+        yield term
 
 
 class PPParams:
@@ -74,8 +86,9 @@ class PPParams:
             raise ValueError("a must be nonzero")
         return a
 
-    def _permuting(self, a) -> tuple[FieldElement, FieldElement]:
-        """a as a unit and its norm N(a) onto the subfield of order q^d.
+    def _permuting(self, a) -> tuple[FieldElement, FieldElement, FieldElement]:
+        """a as a unit, its norm N(a) onto the subfield of order q^d, and the
+        criterion power a^((q^n-1)/s_bar) = N(a)^((q^d-1)/s_bar), as s_bar | q^d-1.
 
         Rejects a up front when the criterion fails, since the denominator
         N(y^s) - N(a) of the inverse is only provably nonzero for permutations.
@@ -83,25 +96,21 @@ class PPParams:
         first one.
         """
         a = self._unit(a)
-        fails = np.logical_not(self.is_permutation(a))
-        if fails.any():
+        n_a = a ** self._norm_exp
+        crit = n_a ** (self._crit_exp // self._norm_exp)
+        fails = crit == self.field.one
+        if np.any(fails):
             first = np.extract(fails, a.index)[0]
             raise NotPermutationError(f"a={first} is an s-th power; f is not a permutation")
-        return a, a ** self._norm_exp
+        return a, n_a, crit
 
     def _h_terms(self, ainv: FieldElement, y: FieldElement):
         """The n/d terms T_i = a^{-(q^{im}-1)/(q^m-1)} y^{(q^{(i-1)m}-1)/t} of h.
 
         T_1 = a^{-1} and T_{i+1} = T_i^{q^m} * a^{-1} y^s (see ``h_value``).
         """
-        term = ainv
-        yield term
-        if len(self._G) > 1:
-            w = ainv * y ** self.s
-            qm = self.field.q ** self.m
-            for _ in self._G[1:]:
-                term = term ** qm * w
-                yield term
+        w = ainv * y ** self.s if len(self._G) > 1 else None
+        return frobenius_chain(ainv, w, self.field.q ** self.m, len(self._G))
 
     def criterion_power(self, a) -> FieldElement:
         """a^((q^n-1)/s_bar); f permutes the field iff this is not 1."""
@@ -140,7 +149,7 @@ class PPParams:
 
         At y = 0 the denominator is -N(a) != 0, so the result is 0.
         """
-        a, n_a = self._permuting(a)
+        a, n_a, _ = self._permuting(a)
         y = self.field.element(y)
         den = y ** (self.s * self._norm_exp) - n_a
         factor = (n_a / den) * self.h_value(a, y)
@@ -148,8 +157,8 @@ class PPParams:
 
     def closed_inverse(self, a) -> "ClosedInverse":
         """Symbolic decomposition f^{-1}(y) = y (scale * g(y) * h(y))^t."""
-        a, n_a = self._permuting(a)
-        scale = n_a / (self.field.one - self.criterion_power(a))
+        a, n_a, crit = self._permuting(a)
+        scale = n_a / (self.field.one - crit)
         nu = self._norm_exp
         g_terms = tuple(
             (nu * self.s * (l - 1), n_a ** (self.u - l)) for l in range(1, self.u + 1)
@@ -272,11 +281,8 @@ def linearized_inverse(field: Field, m: int, a, allow_m_equal_n: bool = False) -
     factor = n_a / (one - n_a)
     q = field.q
     ainv = a.inverse()
-    terms = []
-    for i in range(1, field.n // d + 1):
-        E = sum(q ** (m * l) for l in range(i))
-        terms.append((q ** ((i - 1) * m), factor * ainv ** E))
-    return poly_from_terms(field, terms)
+    coeffs = frobenius_chain(ainv, ainv, q ** m, field.n // d)  # a^{-(q^{im}-1)/(q^m-1)}
+    return poly_from_terms(field, [(q ** (i * m), factor * c) for i, c in enumerate(coeffs)])
 
 
 def linearized_images(field: Field, m: int, a_indices) -> np.ndarray:

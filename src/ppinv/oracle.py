@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from .gf import Field
-from .poly import Poly
+from .poly import Poly, check_images
 
 DEFAULT_CAP = 1 << 16
 CAP_ENV_VAR = "PPINV_ORACLE_CAP"
@@ -48,13 +48,8 @@ class PermTable:
     __slots__ = ("field", "images")
 
     def __init__(self, field: Field, images):
-        images = np.asarray(images, dtype=np.int64)
-        if images.shape != (field.order,):
-            raise ValueError(f"table must have exactly {field.order} entries")
-        if len(images) and (images.min() < 0 or images.max() >= field.order):
-            raise ValueError("image index out of range")
         self.field = field
-        self.images = images
+        self.images = check_images(field, images)
 
     def __eq__(self, other):
         return (
@@ -91,8 +86,8 @@ def tabulate(field: Field, fn, cap: int | None = None) -> PermTable:
 def inverse_poly_by_interpolation(table: PermTable) -> Poly:
     """Reduced polynomial inducing the inverse permutation.
 
-    Interpolated from the inverted table by the group-sum coefficient formula
-    of Poly.interpolate, which reads only the field tables.
+    Interpolated from the inverted table by Poly.interpolate: the group-sum
+    coefficient formula, evaluated as a chirp correlation of Poly products.
     """
     return Poly.interpolate(table.field, table.inverted().images)
 

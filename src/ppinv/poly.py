@@ -2,12 +2,12 @@
 
 Coefficients are stored little-endian as an int64 array of element indices.
 A product is one exact float64 FFT convolution of the operands' base-p digit
-matrices (Poly.__mul__); interpolation uses the group-sum formula, in blocks
-of bounded size.  Reduction mod x^Q - x (Q the field order) uses the
-exponent rule k -> ((k - 1) mod (Q - 1)) + 1 for k >= Q, which never sends
-a positive exponent to 0 and therefore preserves the induced function on
-the whole field, including at 0.  Two reduced polynomials are equal iff
-they induce the same function.
+matrices (Poly.__mul__); interpolation is a chirp correlation of a few such
+products.  Reduction mod x^Q - x (Q the field order) uses the exponent rule
+k -> ((k - 1) mod (Q - 1)) + 1 for k >= Q, which never sends a positive
+exponent to 0 and therefore preserves the induced function on the whole
+field, including at 0.  Two reduced polynomials are equal iff they induce
+the same function.
 """
 
 from __future__ import annotations
@@ -18,19 +18,25 @@ import numpy as np
 
 from .gf import Field, FieldElement
 
-# Interpolation does Q^2 work, in blocks of at most INTERP_BLOCK group-sum
-# terms, so its temporaries stay small whatever Q is.  A block of int64 terms
-# is 128 KiB, glibc's default mmap threshold: 2^16-term blocks, interleaved
-# with Poly products, were unmapped and faulted in again on every call
-# (about 5x the minor page faults, interpolation about 30% slower).
 INTERP_LIMIT = 2048
-INTERP_BLOCK = 1 << 14
 
 
 def check_interp_limit(field: Field):
     """Raise ValueError if the field is too large to interpolate on."""
     if field.order > INTERP_LIMIT:
         raise ValueError(f"interpolation limited to fields of order <= {INTERP_LIMIT}")
+
+
+def check_images(field: Field, images) -> np.ndarray:
+    """A table of Q image indices as int64; TypeError unless its dtype is integer."""
+    table = np.asarray(images)
+    if table.shape != (field.order,):
+        raise ValueError(f"table must hold exactly {field.order} images")
+    if table.dtype.kind not in "iu":
+        raise TypeError(f"image indices must be integers, got {table.dtype}")
+    if table.min() < 0 or table.max() >= field.order:
+        raise ValueError(f"image indices must lie in [0, {field.order})")
+    return table.astype(np.int64, copy=False)
 
 
 def _comb_mod_p(t: int, k: int, p: int) -> int:
@@ -228,9 +234,14 @@ class Poly:
 
     def reduce(self) -> "Poly":
         """Canonical representative of the induced function (degree < Q)."""
-        if len(self.idx) <= self.field.order:
+        Q = self.field.order
+        if len(self.idx) <= Q:
             return Poly(self.field, self.idx)
-        return _fold(self.field, np.arange(len(self.idx), dtype=np.int64), self.idx)
+        out = self.idx[:Q].copy()
+        for lo in range(Q, len(self.idx), Q - 1):  # x^(Q + (Q-1) r + i) -> x^(i+1)
+            chunk = self.idx[lo:lo + Q - 1]
+            out[1:len(chunk) + 1] = self.field.tables.add(out[1:len(chunk) + 1], chunk)
+        return Poly(self.field, out)
 
     def mul_mod(self, other: "Poly") -> "Poly":
         return (self * other).reduce()
@@ -306,35 +317,33 @@ class Poly:
     def interpolate(cls, field: Field, images) -> "Poly":
         """Unique polynomial of degree < Q taking the value images[x] at each x.
 
-        images holds the Q image indices in index order.  Coefficients come
-        from the group-sum formula (Lidl & Niederreiter, Finite Fields,
-        ch. 7): with g the table generator and L = Q - 1, c_0 = F(0),
-        c_k = -sum_j F(g^j) g^(-jk) for 1 <= k < L, and c_L = -sum_x F(x).
-        Each term is one exp-table gather in the log domain, over the j with
-        F(g^j) != 0, taken in blocks of at most INTERP_BLOCK terms.
+        images holds the Q integer image indices in index order.  With g the
+        table generator and L = Q - 1, the group-sum formula (Lidl &
+        Niederreiter, Finite Fields, ch. 7) gives c_0 = F(0), c_k = -S_k for
+        0 < k < L and c_L = -S_L - F(0), S_k = sum_(j<L) F(g^j) g^(-jk).  As
+        -jk = C(j,2) + C(k,2) - C(j+k,2) (Bluestein's chirp), S_k is g^C(k,2)
+        times the correlation sum_j a_j b_(j+k) of a_j = F(g^j) g^C(j,2) and
+        b_m = g^-C(m,2), taken as Poly products over blocks of j.
         """
         check_interp_limit(field)
-        Q = field.order
-        y_by_x = np.asarray(images, dtype=np.int64)
-        if y_by_x.shape != (Q,):
-            raise ValueError(f"interpolation table must hold exactly {Q} images")
-        if y_by_x.min() < 0 or y_by_x.max() >= Q:
-            raise ValueError(f"image indices must lie in [0, {Q})")
+        y_by_x = check_images(field, images)
         T = field.tables
-        L = Q - 1
-        y = y_by_x[T.exp]  # F(g^j), j = 0..L-1
-        j = np.flatnonzero(y)
-        logs = T.log[y[j]]
-        k = np.arange(1, Q, dtype=np.int64)
+        L = field.order - 1
+        m = np.arange(2 * L, dtype=np.int64)
+        chirp = T.exp[m * (m - 1) // 2 % L]  # g^C(m, 2)
+        a = T.mul(y_by_x[T.exp], chirp[:L])
+        b = T.inv[chirp]
+        # a block of n <= step terms, reversed, times n + L - 1 terms of b has
+        # 2n + L - 2 terms, within the FFT length 2^k >= 2L; its coefficient
+        # n - 2 + k is the block's share of sum_j a_j b_(j+k), k = 1..L
+        step = ((1 << (2 * L - 1).bit_length()) - L + 2) // 2
         sums = np.zeros(L, dtype=np.int64)
-        step = max(1, INTERP_BLOCK // L)
-        for lo in range(0, len(j), step):
-            # row j, column k - 1: log of F(g^j) g^(-jk) = log F(g^j) + (L - j) k
-            # mod L, for k = 1..L
-            e = np.multiply.outer(L - j[lo:lo + step], k)
-            e += logs[lo:lo + step, None]
-            e %= L
-            sums = T.add(sums, T.sum_terms(T.exp[e]))
+        for lo in range(0, L, step):
+            block = a[lo:lo + step]
+            n = len(block)
+            part = (cls(field, block[::-1]) * cls(field, b[lo + 1:lo + n + L])).idx[n - 1:n - 1 + L]
+            sums[:len(part)] = T.add(sums[:len(part)], part)
+        sums = T.mul(sums, chirp[1:L + 1])
         sums[-1] = T.add(sums[-1], y_by_x[0])  # the k = L sum also takes F(0)
         return cls(field, np.concatenate([y_by_x[:1], T.neg[sums]]))
 

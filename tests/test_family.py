@@ -290,6 +290,34 @@ def test_h_value_makes_two_general_powers(monkeypatch):
     assert len(calls) <= 2, calls
 
 
+def test_criterion_comes_from_the_norm(monkeypatch):
+    # a^((Q-1)/s_bar) = N(a)^((q^d-1)/s_bar): on 2^32 with (m, s) = (2, 3)
+    # both a-exponents are 1431655765, and only the norm's is raised
+    field = Field(2, 1, 32)
+    prm = PPParams(field, 2, 3, 1)
+    assert prm._crit_exp == prm._norm_exp
+    a, y = field(3), field(987654321)
+    assert prm.is_permutation(a)
+    expected = prm.inverse_value(a, y)  # builds the map for q^m = 2^2 once
+    calls = []
+    real = gf._PackedKernel.pow
+
+    def spy(self, v, k):
+        calls.append(k)
+        return real(self, v, k)
+
+    def no_criterion_power(self, a):
+        raise AssertionError("criterion_power called")
+
+    monkeypatch.setattr(gf._PackedKernel, "pow", spy)
+    monkeypatch.setattr(PPParams, "criterion_power", no_criterion_power)
+    assert prm.inverse_value(a, y) == expected
+    # N(a), a^-1, y^(s nu): the three full-size exponents
+    assert calls.count(prm._norm_exp) == 1, calls
+    assert sum(k.bit_length() >= 31 for k in calls) == 3, calls
+    prm.closed_inverse(a)  # its scale reuses the verdict's power
+
+
 def test_poly_from_terms_folds_large_exponents():
     F9 = Field(3, 1, 2)
     # x^9 -> x, so (9, 1) and (1, 2) accumulate on the same slot

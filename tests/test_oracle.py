@@ -67,6 +67,11 @@ def test_permtable_validation():
     table = PermTable(field, [0, 1, 3, 2, 4])
     assert table.images[2] == 3
     assert len(table) == 5
+    # floats and bools were truncated to some other table
+    for bad in ([0.7, 1.2, 2.9, 3.1, 4.0], np.arange(5.0), [True, False, True, False, True]):
+        with pytest.raises(TypeError, match="integer"):
+            PermTable(field, bad)
+    assert PermTable(field, np.array([0, 1, 3, 2, 4], dtype=np.uint16)) == table
 
 
 def test_inverse_poly_by_interpolation_pinned():

@@ -4,10 +4,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ppinv.gf import Field, is_prime
-from ppinv.poly import INTERP_LIMIT, Poly, family_poly, _comb_mod_p, _limb_split
+from ppinv.poly import INTERP_LIMIT, Poly, family_poly, _comb_mod_p, _fold, _limb_split
+from ppinv.verify import field_splits
 
 
 def rand_poly(field, max_len, rng):
@@ -147,6 +148,11 @@ def test_interpolate_rejects_bad_tables():
         Poly.interpolate(F5, [0, 1, 2, 3, 5])
     with pytest.raises(ValueError, match="must lie in"):
         Poly.interpolate(F5, [0, 1, -1, 3, 4])
+    # truncating floats or bools would interpolate some other table
+    for bad in ([0.7, 1.2, 2.9, 3.1, 4.0], np.arange(5.0), [True, False, True, False, True]):
+        with pytest.raises(TypeError, match="integer"):
+            Poly.interpolate(F5, bad)
+    assert Poly.interpolate(F5, np.arange(5, dtype=np.uint8)) == Poly.x(F5)
 
 
 def test_family_poly_pinned():
@@ -326,3 +332,91 @@ def test_interpolation_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+# -- interpolation against the group-sum formula --------------------------------
+
+def group_sum_interpolate(field, images):
+    """Reference: c_0 = F(0), c_k = -sum_j F(g^j) g^(-jk), c_L = -sum_x F(x).
+
+    The formula term by term in the log domain, one exp gather per term, in
+    blocks of at most 2^14 terms.
+    """
+    T = field.tables
+    L = field.order - 1
+    y_by_x = np.asarray(images, dtype=np.int64)
+    y = y_by_x[T.exp]  # F(g^j), j = 0..L-1
+    j = np.flatnonzero(y)
+    logs = T.log[y[j]]
+    k = np.arange(1, field.order, dtype=np.int64)
+    sums = np.zeros(L, dtype=np.int64)
+    step = max(1, (1 << 14) // L)
+    for lo in range(0, len(j), step):
+        # log of F(g^j) g^(-jk) = log F(g^j) + (L - j) k mod L
+        e = np.multiply.outer(L - j[lo:lo + step], k)
+        e += logs[lo:lo + step, None]
+        e %= L
+        sums = T.add(sums, T.sum_terms(T.exp[e]))
+    sums[-1] = T.add(sums[-1], y_by_x[0])
+    return Poly(field, np.concatenate([y_by_x[:1], T.neg[sums]]))
+
+
+def _table(Q, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "permutation":
+        return rng.permutation(Q)
+    if kind == "random":
+        return rng.integers(0, Q, Q)
+    table = np.zeros(Q, dtype=np.int64)
+    if kind == "zero-but-origin":
+        table[0] = rng.integers(1, Q)
+    elif kind == "sparse":
+        at = rng.integers(0, Q, 3)
+        table[at] = rng.integers(1, Q, 3)
+    return table
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    split=st.sampled_from(field_splits(INTERP_LIMIT)),
+    kind=st.sampled_from(["permutation", "random", "zero", "zero-but-origin", "sparse"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(split=(2, 1, 1), kind="random", seed=1)
+@example(split=(2, 1, 1), kind="zero-but-origin", seed=1)
+@example(split=(3, 1, 1), kind="permutation", seed=2)
+@example(split=(2, 1, 2), kind="random", seed=3)
+@example(split=(2, 2, 1), kind="zero-but-origin", seed=4)
+@example(split=(3, 1, 2), kind="zero", seed=5)
+@example(split=(2, 1, 11), kind="random", seed=6)
+@example(split=(2039, 1, 1), kind="permutation", seed=7)
+def test_interpolate_matches_group_sum(split, kind, seed):
+    field = Field(*split)
+    table = _table(field.order, kind, seed)
+    assert Poly.interpolate(field, table) == group_sum_interpolate(field, table)
+
+
+@pytest.mark.parametrize("spec", [(3, 1, 6), (2, 5, 2), (2, 1, 11), (43, 1, 2), (2039, 1, 1)])
+def test_interpolant_reproduces_table(spec):
+    # Poly.__call__ is table arithmetic only; (2039, 1, 1) has the largest
+    # digits below INTERP_LIMIT, which still fit one limb
+    field = Field(*spec)
+    L = field.order - 1
+    assert _limb_split(field.p, field.degree, L, 2 * L)[0] == 1
+    table = np.random.default_rng(field.order).integers(0, field.order, field.order)
+    table[0] = 1
+    poly = Poly.interpolate(field, table)
+    assert poly.degree < field.order
+    assert np.array_equal(poly(field.all_elements()).index, table)
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 1), (3, 1, 1), (2, 1, 2), (5, 1, 1), (3, 1, 2), (2, 1, 7), (3, 2, 2)])
+def test_reduce_matches_fold(spec):
+    field = Field(*spec)
+    Q = field.order
+    rng = np.random.default_rng(Q)
+    for n in (Q + 1, 2 * Q - 1, 2 * Q, 3 * Q + 5):
+        coeffs = rng.integers(0, Q, n)
+        coeffs[-1] = rng.integers(1, Q)
+        ref = _fold(field, np.arange(n, dtype=np.int64), coeffs)
+        assert Poly(field, coeffs).reduce() == ref, n
