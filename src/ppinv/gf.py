@@ -12,6 +12,7 @@ deterministic.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 
 import numpy as np
@@ -21,6 +22,10 @@ DEFAULT_MAX_ORDER = 2 ** 32
 # Dense lookup tables (exp/log, digit matrix) are only built for fields small
 # enough to sweep exhaustively.
 TABLE_LIMIT = 2 ** 20
+
+# Scalar arithmetic reads lists made from the tables up to this order (a build
+# of at most ~50 ms, covering every oracle field) and the packed kernel above.
+SCALAR_TABLE_LIMIT = 2 ** 16
 
 # An element index: an int, or an int64 array of indices on a field with tables.
 Index = int | np.ndarray
@@ -118,7 +123,8 @@ class _PackedKernel:
 
     ``pack``/``unpack`` convert between a field index and the packed form;
     ``mul``, ``sqr`` and ``pow`` work on packed values only, so a power
-    converts once on the way in and once on the way out.
+    converts once on the way in and once on the way out.  The ``*_idx``
+    methods on indices are the scalar backend above SCALAR_TABLE_LIMIT.
 
     A power to k = p^j with 0 < j < D is the Frobenius map, which is
     F_p-linear on digit vectors: ``pow_idx`` applies it from the images of
@@ -128,6 +134,7 @@ class _PackedKernel:
 
     def __init__(self, p: int, degree: int):
         self.p, self.degree = p, degree
+        self.group = p ** degree - 1
         self._frob = dict.fromkeys(p ** j for j in range(1, degree))
 
     def pow(self, a: int, k: int) -> int:
@@ -143,6 +150,11 @@ class _PackedKernel:
         return self.mul(a, a)
 
     def pow_idx(self, i: int, k: int) -> int:
+        if i == 0:
+            return 0 if k else 1
+        k %= self.group
+        if k == 0:
+            return 1
         if k not in self._frob:
             return self.unpack(self.pow(self.pack(i), k))
         frob = self._frob[k]
@@ -181,7 +193,8 @@ class _Gf2Kernel(_PackedKernel):
     def pack(i: int) -> int:
         return i
 
-    unpack = pack
+    unpack = neg_idx = pack
+    add_idx = staticmethod(operator.xor)
 
     def digits(self, v: int) -> list[int]:
         return [v >> i & 1 for i in range(self.degree)]
@@ -271,6 +284,7 @@ class _OddKernel(_PackedKernel):
         self.low = (1 << W * D) - 1
         self.x = 1 << W  # x, for degree >= 2
         self.negm = self.pack_digits([-c % p for c in modulus])
+        self.p_ones = _repeat(p, W, D)
         self.mu = self._barrett_mu()
         if indexed:
             self._build_conversions()
@@ -303,6 +317,12 @@ class _OddKernel(_PackedKernel):
         prod = a * b
         q = self._mod((prod >> W * D) * self.mu) >> W * (D - 2) if D > 1 else 0
         return self._mod((prod & self.low) + (q * self.negm & self.low))
+
+    def add_idx(self, i: int, j: int) -> int:
+        return self.unpack(self._mod(self.pack(i) + self.pack(j)))
+
+    def neg_idx(self, i: int) -> int:
+        return self.unpack(self._mod(self.p_ones - self.pack(i)))
 
     def frobenius(self, images, i: int) -> int:
         """Sum of c_i times the image of x^i; slot sums of at most D (p-1)^2 fit ``_mod``."""
@@ -391,12 +411,7 @@ def first_irreducible(p: int, degree: int) -> tuple[int, ...]:
     if degree < 1:
         raise ValueError("degree must be positive")
     for k in range(p ** degree):
-        coeffs = []
-        v = k
-        for _ in range(degree):
-            coeffs.append(v % p)
-            v //= p
-        cand = coeffs + [1]
+        cand = [k // p ** i % p for i in range(degree)] + [1]
         if _is_irreducible(cand, p):
             return tuple(cand)
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -502,9 +517,6 @@ class Field:
         self.q = p ** e
         self.order = order
         self.modulus: tuple[int, ...] = first_irreducible(p, degree)
-        # exp/log lists for fast scalar ops, set by the tables property
-        self._flog: list[int] | None = None
-        self._fexp: list[int] | None = None
 
     # -- identity ----------------------------------------------------------
 
@@ -564,7 +576,7 @@ class Field:
     __call__ = element
 
     def from_coeffs(self, coeffs) -> FieldElement:
-        coeffs = list(coeffs)
+        coeffs = [operator.index(c) for c in coeffs]  # TypeError on floats
         if len(coeffs) > self.degree:
             raise ValueError("too many coefficients")
         if any(not 0 <= c < self.p for c in coeffs):
@@ -597,96 +609,53 @@ class Field:
     # -- index <-> digits ----------------------------------------------------
 
     def _digits(self, k: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.degree):
-            out.append(k % self.p)
-            k //= self.p
-        return tuple(out)
+        return tuple(k // self.p ** i % self.p for i in range(self.degree))
 
     def _index(self, digits) -> int:
-        k = 0
-        for c in reversed(list(digits)):
-            k = k * self.p + c
-        return k
+        return sum(c * self.p ** i for i, c in enumerate(digits))
 
     # -- arithmetic on indices ------------------------------------------------
-    # An index array operand goes to the matching FieldTables kernel.
+    # An index array operand goes to the FieldTables kernels, a scalar to _scalar.
+
+    @cached_property
+    def _kernel(self) -> _PackedKernel:
+        """Packed-integer kernel: the scalar backend above SCALAR_TABLE_LIMIT, and the table build's."""
+        return _kernel(self.p, self.modulus)
+
+    @cached_property
+    def _scalar(self) -> "_ListKernel | _PackedKernel":
+        """The scalar backend, fixed by the order alone; built on the first scalar operation."""
+        return _ListKernel(self.tables) if self.order <= SCALAR_TABLE_LIMIT else self._kernel
 
     def _add_idx(self, i: Index, j: Index) -> Index:
         if isinstance(i, np.ndarray) or isinstance(j, np.ndarray):
             return self.tables.add(i, j)
-        p = self.p
-        if p == 2:
-            return i ^ j
-        if self.degree == 1:
-            return (i + j) % p
-        out = 0
-        mult = 1
-        for _ in range(self.degree):
-            out += ((i + j) % p) * mult
-            i //= p
-            j //= p
-            mult *= p
-        return out
+        return self._scalar.add_idx(i, j)
 
     def _neg_idx(self, i: Index) -> Index:
         if isinstance(i, np.ndarray):
             return self.tables.neg[i]
-        p = self.p
-        if p == 2:
-            return i
-        if self.degree == 1:
-            return -i % p
-        out = 0
-        mult = 1
-        for _ in range(self.degree):
-            out += (-i % p) * mult
-            i //= p
-            mult *= p
-        return out
+        return self._scalar.neg_idx(i)
 
     def _sub_idx(self, i: Index, j: Index) -> Index:
         return self._add_idx(i, self._neg_idx(j))
 
-    @cached_property
-    def _kernel(self) -> _PackedKernel:
-        """Packed-integer product kernel, for scalar ops before or without tables."""
-        return _kernel(self.p, self.modulus)
-
     def _mul_idx(self, i: Index, j: Index) -> Index:
         if isinstance(i, np.ndarray) or isinstance(j, np.ndarray):
             return self.tables.mul(i, j)
-        if i == 0 or j == 0:
-            return 0
-        if self._fexp is not None:
-            group = self.order - 1
-            return self._fexp[(self._flog[i] + self._flog[j]) % group] if group > 1 else 1
-        return self._kernel.mul_idx(i, j)
+        return self._scalar.mul_idx(i, j)
 
     def _pow_idx(self, i: Index, k: int) -> Index:
         if isinstance(i, np.ndarray):
             return self.tables.pow(i, k)
-        if k == 0:
-            return 1
-        if i == 0:
-            return 0
-        group = self.order - 1
-        k %= group
-        if k == 0:
-            return 1
-        if self._fexp is not None:
-            return self._fexp[self._flog[i] * k % group]
-        return self._kernel.pow_idx(i, k)
+        return self._scalar.pow_idx(i, k)
 
     def _inv_idx(self, i: Index) -> Index:
         if isinstance(i, np.ndarray):
             return self.tables.inv_of(i)
         if i == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._fexp is not None:
-            group = self.order - 1
-            return self._fexp[(group - self._flog[i]) % group] if group > 1 else 1
-        return self._pow_idx(i, self.order - 2)
+        return self._scalar.pow_idx(i, self.order - 2)
 
     # -- norm ----------------------------------------------------------------
 
@@ -708,11 +677,7 @@ class Field:
 
     @cached_property
     def tables(self) -> "FieldTables":
-        tables = FieldTables(self)
-        # from here on scalar mul/pow/inv read exp/log instead of the kernel
-        self._flog = tables.log.tolist()
-        self._fexp = tables.exp.tolist()
-        return tables
+        return FieldTables(self)
 
 
 class FieldTables:
@@ -733,7 +698,8 @@ class FieldTables:
 
     The digit matrix ``dig`` and the digits ``xpow`` of x^0 .. x^(2D-2) are
     built on first use: only Poly's FFT product and coefficient folding need
-    them.  Built lazily via Field.tables.
+    them.  Built lazily via Field.tables, on the field's packed kernel alone:
+    up to SCALAR_TABLE_LIMIT the scalar backend reads these tables.
     """
 
     def __init__(self, field: Field):
@@ -758,17 +724,13 @@ class FieldTables:
         # Frobenius x -> x^p on indices
         self.frob = np.zeros(q, dtype=np.int64)
         self.frob[self.exp] = self.exp[ks * p % group]
-        # -1 = g^((Q-1)/2) for odd Q
-        if p == 2:
-            self.neg = np.arange(q, dtype=np.int64)
-        else:
-            self.neg = np.zeros(q, dtype=np.int64)
-            self.neg[self.exp] = self.exp[(ks + group // 2) % group]
         # zero folded in: _zlog reads log 0 as 2L (L = Q - 1) and _zexp is exp
         # twice, then 2L + 1 zeros, so _zexp[_zlog[u] + _zlog[v]] is u v
         self._zlog = self.log.copy()
         self._zlog[0] = 2 * group
         self._zexp = np.concatenate([self.exp, self.exp, np.zeros(2 * group + 1, dtype=np.int64)])
+        # -u = u g^((Q-1)/2) for odd Q
+        self.neg = np.arange(q, dtype=np.int64) if p == 2 else self._zexp[self._zlog + group // 2]
 
         self._zech = None
         if p != 2 and field.degree > 1:
@@ -781,7 +743,7 @@ class FieldTables:
             return 1
         checks = [group // r for r in prime_factors(group)]
         for cand in range(2, f.order):
-            if all(f._pow_idx(cand, c) != 1 for c in checks):
+            if all(f._kernel.pow_idx(cand, c) != 1 for c in checks):
                 return cand
         raise AssertionError("no generator found")  # unreachable
 
@@ -792,7 +754,7 @@ class FieldTables:
         exp = np.empty(group, dtype=np.int64)
         exp[0] = 1
         # row i holds the digits of x^i * g^n, so digits(v g^n) = digits(v) @ step
-        step = np.array([f._digits(f._mul_idx(int(w), g)) for w in pw], dtype=np.int64)
+        step = np.array([f._digits(f._kernel.mul_idx(int(w), g)) for w in pw], dtype=np.int64)
         n = 1
         while n < group:
             k = min(n, group - n)
@@ -835,7 +797,7 @@ class FieldTables:
     def xpow(self) -> np.ndarray:
         """(2D - 1, D) digits of x^w for w < 2D - 1; x has index p."""
         f, D = self.field, self.field.degree
-        high = [f._pow_idx(self.p, w) for w in range(D, 2 * D - 1)]
+        high = [f._kernel.pow_idx(self.p, w) for w in range(D, 2 * D - 1)]
         return np.vstack([np.eye(D, dtype=np.int64), self.dig[high]])
 
     # all methods take and return int64 index arrays (broadcastable)
@@ -889,3 +851,39 @@ class FieldTables:
         if not u.all():
             raise ZeroDivisionError("inverse of zero")
         return self.inv[u]
+
+
+class _ListKernel:
+    """The scalar backend up to SCALAR_TABLE_LIMIT: FieldTables' zero-folded
+    exp/log (and Zech) tables as Python lists, which index far faster than
+    numpy arrays.  Addition is XOR for p = 2, (i + j) mod p on prime fields
+    and Zech otherwise; -i = i g^((Q-1)/2) for odd p, and i for p = 2.
+    """
+
+    def __init__(self, tables: FieldTables):
+        p, self.group = tables.p, max(tables.order - 1, 1)
+        self.half = self.group // 2
+        exp = tables.exp.tolist()
+        self.zlog = tables._zlog.tolist()
+        self.zexp = exp + exp + [0] * (2 * self.group + 1)
+        if p == 2:
+            self.add_idx, self.neg_idx = operator.xor, operator.pos
+        elif tables._zech is None:
+            self.add_idx = lambda i, j: (i + j) % p
+        else:
+            self.zech = tables._zech.tolist()
+
+    def add_idx(self, i: int, j: int) -> int:
+        lu = self.zlog[i]
+        return self.zexp[lu + self.zech[self.zlog[j] - lu]]
+
+    def neg_idx(self, i: int) -> int:
+        return self.zexp[self.zlog[i] + self.half]
+
+    def mul_idx(self, i: int, j: int) -> int:
+        return self.zexp[self.zlog[i] + self.zlog[j]]
+
+    def pow_idx(self, i: int, k: int) -> int:
+        if i == 0:
+            return 0 if k else 1
+        return self.zexp[self.zlog[i] * k % self.group]

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppinv.gf import Field, FieldElement, _kernel, first_irreducible, is_prime, prime_factors
+from ppinv.gf import (
+    SCALAR_TABLE_LIMIT,
+    Field,
+    FieldElement,
+    _kernel,
+    _ListKernel,
+    first_irreducible,
+    is_prime,
+    prime_factors,
+)
 
 
 def test_pinned_moduli():
@@ -140,6 +149,15 @@ def test_norm_pinned_and_properties():
         F16.norm(F16.one, 3)
 
 
+def test_from_coeffs_rejects_non_integers():
+    F9 = Field(3, 1, 2)
+    for bad in ([1.5], [1, 2.0], [np.float64(1)]):
+        with pytest.raises(TypeError):
+            F9.from_coeffs(bad)
+    assert F9.from_coeffs([np.int64(1), 2]) == F9(7)
+    assert type(F9.from_coeffs([np.int64(1), np.int64(2)]).index) is int
+
+
 def test_enumeration_and_index_round_trip():
     F9 = Field(3, 1, 2)
     assert F9(4) == F9.from_coeffs([1, 1])  # 4 = 1 + 1*3
@@ -180,19 +198,19 @@ def test_mixed_field_operands_rejected():
 @pytest.mark.parametrize("spec", [(2, 1, 3), (3, 1, 2), (5, 1, 2), (2, 2, 2)])
 def test_tables_match_scalar_ops(spec):
     F = Field(*spec)
-    pure = Field(*spec)  # untouched twin: no dense tables, pure polynomial path
+    K = F._kernel  # packed-integer arithmetic, built apart from the tables
     T = F.tables
     Q = F.order
     for i in range(Q):
-        assert T.neg[i] == pure._neg_idx(i)
-        assert T.frob[i] == pure._pow_idx(i, F.p)
+        assert T.neg[i] == K.neg_idx(i)
+        assert T.frob[i] == K.pow_idx(i, F.p)
         if i:
-            assert T.inv[i] == pure._inv_idx(i)
+            assert T.inv[i] == K.pow_idx(i, Q - 2)
         for j in range(Q):
-            assert T.add(np.int64(i), np.int64(j)) == pure._add_idx(i, j)
-            assert T.mul(np.int64(i), np.int64(j)) == pure._mul_idx(i, j)
+            assert T.add(np.int64(i), np.int64(j)) == K.add_idx(i, j)
+            assert T.mul(np.int64(i), np.int64(j)) == K.mul_idx(i, j)
         for k in (0, 1, 2, 3, Q - 1, Q, 2 * Q + 1):
-            assert T.pow(np.int64(i), k) == pure._pow_idx(i, k)
+            assert T.pow(np.int64(i), k) == K.pow_idx(i, k)
 
 
 def test_tables_guard():
@@ -204,19 +222,23 @@ def test_tables_guard():
         F.tables.inv_of(np.array([0, 1]))
 
 
-def _digitwise(F, i, j, sign=1):
+def _digitwise(p, degree, i, j, sign=1):
     """Index of digits(i) + sign * digits(j), coefficient by coefficient."""
-    return F._index([(a + sign * b) % F.p for a, b in zip(F._digits(i), F._digits(j))])
+    return sum((i // p ** k + sign * (j // p ** k)) % p * p ** k for k in range(degree))
 
 
 @pytest.mark.parametrize("spec", [(2, 1, 4), (2, 3, 2), (7, 1, 1), (101, 1, 1), (3, 1, 3), (5, 2, 1)])
 def test_scalar_add_matches_digitwise(spec):
     F = Field(*spec)
-    for i in range(F.order):
-        assert F._neg_idx(i) == _digitwise(F, 0, i, -1)
-        for j in range(F.order):
-            assert F._add_idx(i, j) == _digitwise(F, i, j)
-            assert F._sub_idx(i, j) == _digitwise(F, i, j, -1)
+    p, D = F.p, F.degree
+    # the field's own backend (lists at these orders) and the packed kernel
+    for backend in (F._scalar, F._kernel):
+        for i in range(F.order):
+            neg = backend.neg_idx(i)
+            assert neg == _digitwise(p, D, 0, i, -1), (backend, i)
+            for j in range(F.order):
+                assert backend.add_idx(i, j) == _digitwise(p, D, i, j), (backend, i, j)
+                assert backend.add_idx(j, neg) == _digitwise(p, D, j, i, -1), (backend, i, j)
 
 
 def _reference_powers(F):
@@ -226,7 +248,7 @@ def _reference_powers(F):
         return 1, [1]
     for g in range(2, F.order):
         powers = [1]
-        while (nxt := F._mul_idx(powers[-1], g)) != 1:
+        while (nxt := F._kernel.mul_idx(powers[-1], g)) != 1:
             powers.append(nxt)
         if len(powers) == group:
             return g, powers
@@ -235,8 +257,8 @@ def _reference_powers(F):
 
 @pytest.mark.parametrize("spec", [(2, 1, 1), (3, 1, 1), (2, 1, 9), (3, 1, 6), (3, 3, 2), (5, 1, 3), (2, 1, 16)])
 def test_tables_equal_reference(spec):
-    gen, exp = _reference_powers(Field(*spec))  # a twin without tables: digit-loop products
     F = Field(*spec)
+    gen, exp = _reference_powers(F)  # packed-kernel products, not the tables under test
     T = F.tables
     Q, p, group = F.order, F.p, len(exp)
     log, inv, frob = [-1] * Q, [0] * Q, [0] * Q
@@ -378,18 +400,19 @@ def _ref_pow(p, modulus, i, k):
     "spec", [(2, 1, 32), (3, 1, 20), (7, 1, 11), (251, 1, 4), (3, 2, 5), (5, 1, 3), (2, 1, 1), (3, 1, 1)]
 )
 def test_packed_kernel_matches_schoolbook(spec):
-    F = Field(*spec)  # no tables: every product goes through the packed kernel
-    Q = F.order
+    F = Field(*spec)
+    K, Q, p, D = F._kernel, F.order, F.p, F.degree
     rng = np.random.default_rng(Q % 1000)
     operands = [0, 1, Q - 1] + [int(v) for v in rng.integers(0, Q, 6)]
     for i in operands:
+        assert K.neg_idx(i) == _digitwise(p, D, 0, i, -1), i
         for j in operands:
-            assert F._mul_idx(i, j) == _ref_mul(F.p, F.modulus, i, j), (i, j)
+            assert K.add_idx(i, j) == _digitwise(p, D, i, j), (i, j)
+            assert K.mul_idx(i, j) == _ref_mul(p, F.modulus, i, j), (i, j)
         for k in (0, 1, Q - 1, Q, 2 ** 40 + 12345):
-            assert F._pow_idx(i, k) == _ref_pow(F.p, F.modulus, i, k), (i, k)
+            assert K.pow_idx(i, k) == _ref_pow(p, F.modulus, i, k), (i, k)
         if i:
-            assert _ref_mul(F.p, F.modulus, i, F._inv_idx(i)) == 1, i
-    assert F._fexp is None
+            assert _ref_mul(p, F.modulus, i, K.pow_idx(i, Q - 2)) == 1, i
 
 
 def _ref_frobenius(p, modulus, i):
@@ -404,15 +427,14 @@ def _ref_frobenius(p, modulus, i):
     "spec", [(2, 1, 32), (3, 1, 20), (7, 1, 11), (251, 1, 4), (3, 2, 5), (5, 1, 3), (2, 1, 1), (3, 1, 1)]
 )
 def test_p_power_exponents_match_schoolbook(spec):
-    F = Field(*spec)  # no tables: p^j with 0 < j < D takes the kernel's Frobenius map
-    Q, p, D = F.order, F.p, F.degree
+    F = Field(*spec)
+    K, Q, p, D = F._kernel, F.order, F.p, F.degree  # p^j with 0 < j < D takes the Frobenius map
     rng = np.random.default_rng(Q % 1000 + 1)
     for i in [0, 1, Q - 1] + [int(v) for v in rng.integers(0, Q, 4)]:
         for j, ref in enumerate(_ref_frobenius(p, F.modulus, i)):
-            assert F._pow_idx(i, p ** j) == ref, (i, j)
-    assert sorted(F._kernel._frob) == [p ** j for j in range(1, D)]
-    assert None not in F._kernel._frob.values()  # every map was built and used
-    assert F._fexp is None
+            assert K.pow_idx(i, p ** j) == ref, (i, j)
+    assert sorted(K._frob) == [p ** j for j in range(1, D)]
+    assert None not in K._frob.values()  # every map was built and used
 
 
 @pytest.mark.parametrize("p, degree", [(2, 32), (3, 20), (7, 11), (251, 4), (5, 3)])
@@ -426,7 +448,9 @@ def test_packed_kernel_worst_case_slot_sums(p, degree):
     rng = np.random.default_rng(p)
     operands = [Q - 1, Q - 2] + [int(v) for v in rng.integers(0, Q, 4)]
     for i in operands:
+        assert K.neg_idx(i) == _digitwise(p, degree, 0, i, -1), i
         for j in operands:
+            assert K.add_idx(i, j) == _digitwise(p, degree, i, j), (i, j)
             assert K.mul_idx(i, j) == _ref_mul(p, modulus, i, j), (i, j)
         assert K.pow_idx(i, Q - 2) == _ref_pow(p, modulus, i, Q - 2), i
         for j, ref in enumerate(_ref_frobenius(p, modulus, i)[1:], 1):
@@ -435,29 +459,57 @@ def test_packed_kernel_worst_case_slot_sums(p, degree):
 
 @pytest.mark.parametrize("spec", [(2, 1, 9), (3, 3, 2), (5, 1, 3), (2, 1, 16)])
 def test_packed_kernel_matches_tables(spec):
-    bare = Field(*spec)
     F = Field(*spec)
-    F.tables
-    Q = F.order
+    K, Q = F._kernel, F.order
+    assert isinstance(F._scalar, _ListKernel)  # scalars read the tables as lists
     rng = np.random.default_rng(Q)
     pairs = rng.integers(0, Q, (20000, 2)).tolist()
     exps = rng.integers(0, 2 ** 62, 20000).tolist()
     for (i, j), k in zip(pairs, exps):
-        assert bare._mul_idx(i, j) == F._mul_idx(i, j), (i, j)
-        assert bare._pow_idx(i, k) == F._pow_idx(i, k), (i, k)
+        assert K.add_idx(i, j) == F._add_idx(i, j), (i, j)
+        assert K.neg_idx(i) == F._neg_idx(i), i
+        assert K.mul_idx(i, j) == F._mul_idx(i, j), (i, j)
+        assert K.pow_idx(i, k) == F._pow_idx(i, k), (i, k)
         if i:
-            assert bare._inv_idx(i) == F._inv_idx(i), i
-    assert bare._fexp is None and F._fexp is not None
+            assert K.pow_idx(i, Q - 2) == F._inv_idx(i), i
 
 
-def test_tables_hand_back_is_explicit():
-    from ppinv.gf import FieldTables
+class _BackendSpy:
+    """Stands in for a field's scalar backend and records each method it hands out."""
 
-    F = Field(3, 1, 4)
-    T = FieldTables(F)  # building tables alone leaves scalar arithmetic alone
-    assert F._fexp is None and F._flog is None
-    assert F.tables is F.tables
-    assert F._fexp == T.exp.tolist() and F._flog == T.log.tolist()
+    def __init__(self, backend):
+        self.backend, self.calls = backend, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.backend, name)
+
+
+@pytest.mark.parametrize("degree, lists", [(16, True), (17, False)])
+def test_scalar_backend_depends_on_order_alone(degree, lists, monkeypatch):
+    # 2^16 is the last order whose scalars read lists; building the tables of
+    # a larger field for its arrays leaves its scalars on the packed kernel
+    assert SCALAR_TABLE_LIMIT == 2 ** 16
+    F = Field(2, 1, degree)
+    backend = F._scalar
+    if lists:
+        assert isinstance(backend, _ListKernel) and "tables" in vars(F)
+    else:
+        assert backend is F._kernel and "tables" not in vars(F)
+    spy = _BackendSpy(backend)
+    monkeypatch.setattr(F, "_scalar", spy)
+
+    def ops():
+        x, y = F(12345), F(F.order - 3)
+        return [(x + y).index, (x * y).index, (x ** 1000003).index, x.inverse().index]
+
+    before = ops()
+    calls = list(spy.calls)
+    F.tables
+    assert ops() == before
+    assert calls == ["add_idx", "mul_idx", "pow_idx", "pow_idx"]
+    assert spy.calls == calls * 2
+    assert F._scalar is spy
 
 
 # -- index-array elements against scalar elements -----------------------------
@@ -467,10 +519,12 @@ ARRAY_LIMIT = 2 ** 20
 
 @lru_cache(maxsize=None)
 def _array_fields(p: int, e: int, n: int) -> tuple[Field, Field]:
-    """The split with tables (for arrays) and a bare copy (packed-kernel scalars)."""
+    """The split with tables (for arrays) and a copy whose scalars run on its packed kernel."""
     field = Field(p, e, n)
     field.tables
-    return field, Field(p, e, n)
+    bare = Field(p, e, n)
+    bare._scalar = bare._kernel  # a reference apart from the lists made from the tables
+    return field, bare
 
 
 @st.composite
