@@ -19,7 +19,7 @@ from . import special
 from .family import NotPermutationError, PPParams
 from .gf import Field, FieldElement
 from .oracle import CapExceededError
-from .verify import check_family, write_survey_csv
+from .verify import cell, check_family, write_survey_csv
 
 
 def _parse_element(field: Field, text: str, coeffs_mode: bool) -> FieldElement:
@@ -32,15 +32,7 @@ def _emit(report: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(report, sort_keys=True))
     else:
-        print(" ".join(f"{k}={_plain(v)}" for k, v in report.items()))
-
-
-def _plain(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return ""
-    return str(v)
+        print(" ".join(f"{k}={cell(v)}" for k, v in report.items()))
 
 
 def _family_args(sub):

@@ -177,15 +177,18 @@ class PPParams:
         """The selected a indices as an array; every nonzero a when None.
 
         Raises ValueError for any index outside [1, Q), and for None on a
-        field too large for index arrays.
+        field too large for index arrays; Field.element raises TypeError for
+        a selection that is not integer (floats, strings, bools).
         """
         Q = self.field.order
         if selection is None:
             return self.field.all_elements().index[1:]
-        a = np.asarray(selection, dtype=np.int64)
-        if a.size and (a.min() < 1 or a.max() >= Q):
+        a = np.asarray(selection)
+        if not a.size:
+            a = a.astype(np.int64)  # np.asarray([]) is float64
+        elif a.dtype.kind in "iu" and (a.min() < 1 or a.max() >= Q):
             raise ValueError(f"a indices must lie in [1, {Q})")
-        return a
+        return self.field.element(a).index
 
     def criterion_mask(self, a_indices=None) -> np.ndarray:
         """Boolean criterion verdict for an array of nonzero a indices."""
@@ -287,14 +290,14 @@ def linearized_inverse(field: Field, m: int, a, allow_m_equal_n: bool = False) -
 
 def linearized_images(field: Field, m: int, a_indices) -> np.ndarray:
     """Images of every field point under L, one row per a."""
-    a = field.element(np.asarray(a_indices, dtype=np.int64)[:, None])
+    a = field.element(np.asarray(a_indices)[:, None])
     x = field.all_elements()
     return (x ** field.q ** m - a * x).index
 
 
 def norm_mask(field: Field, d: int, a_indices) -> np.ndarray:
     """Boolean mask: norm onto the order-q^d subfield differs from 1."""
-    return field.norm(field.element(np.asarray(a_indices, dtype=np.int64)), d) != field.one
+    return field.norm(field.element(np.asarray(a_indices)), d) != field.one
 
 
 # ---------------------------------------------------------------------------

@@ -266,13 +266,14 @@ class _OddKernel(_PackedKernel):
       field, and remainder P - q m taken on the low D slots only.
 
     W is chosen so that no slot sum (at most (D-1) D (p-1)^3 before a
-    ``_mod``) spills into its neighbour, also after the multiply by M.  With
-    ``indexed`` the kernel also converts field indices: in by a table of the
-    packed form of every base-p chunk of at most 256 values, out by pairwise
-    combination of slots, c_{2i} + p c_{2i+1}, in log2(D) whole-word rounds.
+    ``_mod``) spills into its neighbour, also after the multiply by M.  Field
+    indices are converted in by a table of the packed form of every base-p
+    chunk of at most 256 values, and out by pairwise combination of slots,
+    c_{2i} + p c_{2i+1}, in log2(D) whole-word rounds; both are built on first
+    use, so a kernel that only tests irreducibility never builds them.
     """
 
-    def __init__(self, p: int, modulus, indexed: bool = True):
+    def __init__(self, p: int, modulus):
         D = len(modulus) - 1
         super().__init__(p, D)
         bound = max(2 * D * (p - 1) ** 2, (D - 1) * D * (p - 1) ** 3)
@@ -286,8 +287,6 @@ class _OddKernel(_PackedKernel):
         self.negm = self.pack_digits([-c % p for c in modulus])
         self.p_ones = _repeat(p, W, D)
         self.mu = self._barrett_mu()
-        if indexed:
-            self._build_conversions()
 
     def pack_digits(self, digits) -> int:
         W = self.width
@@ -332,31 +331,35 @@ class _OddKernel(_PackedKernel):
             acc += c * image
         return self.unpack(self._mod(acc))
 
-    def _build_conversions(self):
-        p, D, W = self.p, self.degree, self.width
+    @cached_property
+    def _chunks(self) -> tuple[int, int, "list[int] | range"]:
+        """(p^c, W c, packed form of each c-digit chunk) for the largest c with p^c <= 256."""
+        p, D = self.p, self.degree
         chunk = 1
         while p ** (chunk + 1) <= 256 and chunk < D:
             chunk += 1
-        self._chunk_base = p ** chunk
-        self._chunk_shift = W * chunk
         if p > 256:
-            # one digit per chunk, already its own packed form
-            self._chunk_table = range(p)
+            table = range(p)  # one digit per chunk, already its own packed form
         else:
-            self._chunk_table = [
+            table = [
                 self.pack_digits(v // p ** i % p for i in range(chunk)) for v in range(p ** chunk)
             ]
-        # round r adds pairs of slots of width W 2^r, the upper one times p^(2^r)
-        self._rounds = []
-        width, slots, scale = W, D, p
+        return p ** chunk, self.width * chunk, table
+
+    @cached_property
+    def _rounds(self) -> list[tuple[int, int, int]]:
+        """Round r adds pairs of slots of width W 2^r, the upper one times p^(2^r)."""
+        rounds = []
+        width, slots, scale = self.width, self.degree, self.p
         while slots > 1:
             mask = _repeat((1 << width) - 1, 2 * width, (slots + 1) // 2)
-            self._rounds.append((width, mask, scale))
+            rounds.append((width, mask, scale))
             width, slots, scale = 2 * width, (slots + 1) // 2, scale * scale
+        return rounds
 
     def pack(self, i: int) -> int:
         out = shift = 0
-        base, step, table = self._chunk_base, self._chunk_shift, self._chunk_table
+        base, step, table = self._chunks
         while i:
             i, r = divmod(i, base)
             out |= table[r] << shift
@@ -369,8 +372,8 @@ class _OddKernel(_PackedKernel):
         return v
 
 
-def _kernel(p: int, modulus, indexed: bool = True) -> _PackedKernel:
-    return _Gf2Kernel(modulus) if p == 2 else _OddKernel(p, modulus, indexed)
+def _kernel(p: int, modulus) -> _PackedKernel:
+    return _Gf2Kernel(modulus) if p == 2 else _OddKernel(p, modulus)
 
 
 def _is_irreducible(m, p) -> bool:
@@ -387,7 +390,7 @@ def _is_irreducible(m, p) -> bool:
         return True
     if m[0] == 0 or sum(m) % p == 0:
         return False
-    K = _kernel(p, m, indexed=False)
+    K = _kernel(p, m)
     # frob[k] = x^(p^k) mod m, packed
     frob = [K.x]
     for _ in range(deg):

@@ -1,49 +1,18 @@
 """Specialised inverses: the t = 2 family and the explicit GF(5^n)/GF(7^n) cases.
 
 Every formula here is a direct transcription of its printed closed form,
-including the multinomial coefficient tables, with no delegation to the
-general inverse in family.py: the two implementations cross-validate each
-other in the test suite.
+with no delegation to the general inverse in family.py: the two
+implementations cross-validate each other in the test suite.  The forms
+share one expansion of y h(y)^t with multinomial weights, multinomial_sum.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .gf import Field, FieldElement
 from .family import NotPermutationError
-
-
-def multinomial2(i: int, j: int) -> int:
-    """Coefficient of x_i x_j in (x_1 + ... + x_l)^2, for i <= j."""
-    if i > j:
-        raise ValueError("indices must be nondecreasing")
-    return 1 if i == j else 2
-
-
-def multinomial3(i: int, j: int, k: int) -> int:
-    """Coefficient of x_i x_j x_k in (x_1 + ... + x_l)^3, for i <= j <= k."""
-    if not i <= j <= k:
-        raise ValueError("indices must be nondecreasing")
-    if i == j == k:
-        return 1
-    if i == j or j == k:
-        return 3
-    return 6
-
-
-def pair_indices(count: int):
-    """Nondecreasing index pairs (i, j), 1 <= i <= j <= count, lexicographic."""
-    return [(i, j) for i in range(1, count + 1) for j in range(i, count + 1)]
-
-
-def triple_indices(count: int):
-    return [
-        (i, j, k)
-        for i in range(1, count + 1)
-        for j in range(i, count + 1)
-        for k in range(j, count + 1)
-    ]
 
 
 def _exact(num: int, den: int) -> int:
@@ -61,24 +30,33 @@ def _unit(field: Field, a) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# t = 2: f(x) = x^{q^m} - 2a x^{(q^m+1)/2} + a^2 x  =  x (x^{(q^m-1)/2} - a)^2
+# y h(y)^t, expanded
 
 
-def h2_sum(field: Field, m: int, a, x) -> FieldElement:
-    """Double sum with multinomial2 weights; equals y * h(y)^2 pointwise."""
+def multinomial_sum(field: Field, m: int, a, x, t: int) -> FieldElement:
+    """x h(x)^t, with h(x) = sum_i a^{-(q^{(i+1)m}-1)/(q^m-1)} x^{(q^{im}-1)/t}.
+
+    i runs over 0 .. n/d - 1, d = gcd(m, n).  The power is expanded term by
+    term: each nondecreasing index t-tuple, in lexicographic order, adds its
+    multinomial weight t!/prod k_j! mod p (k_j its repeat counts) times
+    a^{-(sum q^{(i+1)m} - t)/(q^m-1)} x^{(sum q^{im})/t}.  Both divisions are
+    exact, as q^m = 1 mod t and mod q^m - 1.
+    """
     a = _unit(field, a)
     x = field.element(x)
-    q = field.q
-    d = math.gcd(m, field.n)
-    qm = q ** m
+    qm = field.q ** m
     ainv = a.inverse()
     acc = field.zero
-    for i, j in pair_indices(field.n // d):
-        ae = _exact(q ** (i * m) + q ** (j * m) - 2, qm - 1)
-        xe = _exact(q ** ((i - 1) * m) + q ** ((j - 1) * m), 2)
-        b = field.element(multinomial2(i, j) % field.p)
-        acc = acc + (ainv ** ae) * b * (x ** xe)
+    for idx in itertools.combinations_with_replacement(range(field.n // math.gcd(m, field.n)), t):
+        weight = math.factorial(t) // math.prod(math.factorial(idx.count(i)) for i in set(idx))
+        ae = _exact(sum(qm ** (i + 1) for i in idx) - t, qm - 1)
+        xe = _exact(sum(qm ** i for i in idx), t)
+        acc = acc + field.element(weight % field.p) * ainv ** ae * x ** xe
     return acc
+
+
+# ---------------------------------------------------------------------------
+# t = 2: f(x) = x^{q^m} - 2a x^{(q^m+1)/2} + a^2 x  =  x (x^{(q^m-1)/2} - a)^2
 
 
 def g2_value(field: Field, m: int, a, x) -> FieldElement:
@@ -109,11 +87,11 @@ def t2_inverse(field: Field, m: int, a, x) -> FieldElement:
         if n_a == one:
             raise NotPermutationError("norm of a is 1; f is not a permutation")
         den = one - n_a
-        return n_a2 / (den * den) * h2_sum(field, m, a, x)
+        return n_a2 / (den * den) * multinomial_sum(field, m, a, x, 2)
     if n_a2 == one:
         raise NotPermutationError("norm of a^2 is 1; f is not a permutation")
     den = one - n_a2
-    return n_a2 / (den * den) * g2_value(field, m, a, x) * h2_sum(field, m, a, x)
+    return n_a2 / (den * den) * g2_value(field, m, a, x) * multinomial_sum(field, m, a, x, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +110,8 @@ def gf5_s2t2_inverse(field: Field, a, x) -> FieldElement:
     Q = field.order
     if a ** ((Q - 1) // 2) != -field.one:
         raise NotPermutationError("a is a square; f is not a permutation")
-    ainv = a.inverse()
-    acc = field.zero
-    for i, j in pair_indices(field.n):
-        ae = _exact(5 ** i + 5 ** j - 2, 4)
-        xe = _exact(5 ** (i - 1) + 5 ** (j - 1), 2)
-        acc = acc + (ainv ** ae) * field.element(multinomial2(i, j)) * (x ** xe)
-    return field.element(2) * (a ** ((Q - 1) // 4)) * (x ** ((Q - 1) // 2)) * acc
+    pref = field.element(2) * (a ** ((Q - 1) // 4)) * (x ** ((Q - 1) // 2))
+    return pref * multinomial_sum(field, 1, a, x, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -156,30 +129,11 @@ def gf7_s3t2_inverse(field: Field, a, x) -> FieldElement:
     pref = field.element(4) * (a ** ((Q - 1) // 6)) * (x ** ((Q - 1) // 2)) - field.element(2) * (
         ainv ** ((Q - 1) // 3)
     )
-    acc = field.zero
-    for i, j in pair_indices(field.n):
-        ae = _exact(7 ** i + 7 ** j - 2, 6)
-        xe = _exact(7 ** (i - 1) + 7 ** (j - 1), 2)
-        acc = acc + field.element(multinomial2(i, j)) * (ainv ** ae) * (x ** xe)
-    return pref * acc
+    return pref * multinomial_sum(field, 1, a, x, 2)
 
 
 # ---------------------------------------------------------------------------
 # GF(7^n): f(x) = x^7 - 3a x^5 + 3a^2 x^3 - a^3 x  =  x (x^2 - a)^3
-
-
-def h3_sum(field: Field, a, x) -> FieldElement:
-    """Triple sum with multinomial3 weights; equals y * h(y)^3 pointwise."""
-    a = _unit(field, a)
-    _require_base(field, 7)
-    x = field.element(x)
-    ainv = a.inverse()
-    acc = field.zero
-    for i, j, k in triple_indices(field.n):
-        ae = _exact(7 ** i + 7 ** j + 7 ** k - 3, 6)
-        xe = _exact(7 ** (i - 1) + 7 ** (j - 1) + 7 ** (k - 1), 3)
-        acc = acc + (ainv ** ae) * field.element(multinomial3(i, j, k)) * (x ** xe)
-    return acc
 
 
 def gf7_s2t3_inverse(field: Field, a, x) -> FieldElement:
@@ -193,7 +147,7 @@ def gf7_s2t3_inverse(field: Field, a, x) -> FieldElement:
     two = field.element(2)
     x4 = x ** 4
     pref = three * ((a * x4) ** ((Q - 1) // 6)) - three * ((a * x) ** ((Q - 1) // 3)) - two
-    return pref * h3_sum(field, a, x)
+    return pref * multinomial_sum(field, 1, a, x, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,8 @@ SURVEY_COLUMNS = (
 )
 
 
-def _cell(value) -> str:
+def cell(value) -> str:
+    """One report or CSV cell: "" for None, true/false for bools, else str."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -164,21 +165,21 @@ def _cell(value) -> str:
 
 
 def survey_rows(max_order: int, cap: int | None = None):
-    """Deterministic stream of survey rows over all splits up to max_order."""
+    """Deterministic stream of survey rows, as lists of SURVEY_COLUMNS cells,
+    over all splits up to max_order."""
     for p, e, n in field_splits(max_order):
         field = Field(p, e, n)
         for m in range(1, n + 1):
             for s, t in factor_pairs(field.q ** m - 1):
                 params = PPParams(field, m, s, t)
-                for rec in check_family(params, symbolic=False, with_special=True, cap=cap):
-                    yield {
-                        "p": p, "e": e, "n": n, "m": m, "s": s, "t": t, "a": rec.a,
-                        "is_pp_criterion": rec.criterion,
-                        "is_pp_oracle": rec.bijective,
-                        "inverse_ok": rec.inverse_ok,
-                        "special_form_used": rec.special_form,
-                        "special_agrees": rec.special_ok,
-                    }
+                checks = check_family(params, symbolic=False, with_special=True, cap=cap)
+                prefix = [str(v) for v in (p, e, n, m, s, t)]
+                for rec in checks:
+                    yield prefix + [
+                        cell(v)
+                        for v in (rec.a, rec.criterion, rec.bijective, rec.inverse_ok,
+                                  rec.special_form, rec.special_ok)
+                    ]
 
 
 def write_survey_csv(out, max_order: int, cap: int | None = None) -> int:
@@ -194,6 +195,6 @@ def _write_survey(handle, max_order: int, cap: int | None) -> int:
     writer.writerow(SURVEY_COLUMNS)
     count = 0
     for row in survey_rows(max_order, cap):
-        writer.writerow([_cell(row[col]) for col in SURVEY_COLUMNS])
+        writer.writerow(row)
         count += 1
     return count

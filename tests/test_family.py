@@ -387,6 +387,15 @@ def test_norm_mask_rejects_non_divisor():
         norm_mask(field, 4, np.arange(1, field.order))
 
 
+def test_linearized_selections_must_be_integer():
+    field = Field(3, 1, 2)
+    for bad in ([2.9], ["3"], [True]):
+        with pytest.raises(TypeError, match="integer"):
+            norm_mask(field, 1, bad)
+        with pytest.raises(TypeError, match="integer"):
+            linearized_images(field, 1, bad)
+
+
 # -- gcd identity ------------------------------------------------------------
 
 

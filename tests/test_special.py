@@ -13,45 +13,15 @@ from ppinv.special import (
     gf5_s2t2_inverse,
     gf7_s2t3_inverse,
     gf7_s3t2_inverse,
-    h2_sum,
-    h3_sum,
-    multinomial2,
-    multinomial3,
-    pair_indices,
+    multinomial_sum,
     route_special,
     t2_inverse,
-    triple_indices,
 )
 from ppinv.verify import factor_pairs, field_splits
 
 
 def pp_values(params):
     return [a for a in params.field.units() if params.is_permutation(a)]
-
-
-def test_multinomial_tables_pinned():
-    assert multinomial2(1, 1) == 1
-    assert multinomial2(1, 2) == 2
-    assert multinomial3(1, 1, 1) == 1
-    assert multinomial3(1, 1, 2) == 3
-    assert multinomial3(1, 2, 2) == 3
-    assert multinomial3(1, 2, 3) == 6
-    with pytest.raises(ValueError):
-        multinomial2(2, 1)
-    with pytest.raises(ValueError):
-        multinomial3(1, 3, 2)
-
-
-@pytest.mark.parametrize("count", range(1, 7))
-def test_multinomial_sums(count):
-    # squaring and cubing identities with all x_i = 1
-    assert sum(multinomial2(i, j) for i, j in pair_indices(count)) == count ** 2
-    assert sum(multinomial3(i, j, k) for i, j, k in triple_indices(count)) == count ** 3
-
-
-def test_index_sets_are_lexicographic_nondecreasing():
-    assert pair_indices(3) == [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
-    assert triple_indices(2) == [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]
 
 
 def test_t2_rejects_bad_inputs():
@@ -119,21 +89,22 @@ def test_g2_is_square_of_g_on_units():
 
 
 def test_h2_h3_are_x_times_h_powers():
-    # identity behind the double/triple sums, for every nonzero a
-    f25 = Field(5, 1, 2)
-    f25.tables
-    p25 = PPParams(f25, 1, 2, 2)
-    for a in f25.units():
-        for x in f25.elements():
-            h = p25.h_value(a, x)
-            assert h2_sum(f25, 1, a, x) == x * h * h
-    f49 = Field(7, 1, 2)
-    f49.tables
-    p49 = PPParams(f49, 1, 2, 3)
-    for a in f49.units():
-        for x in f49.elements():
-            h = p49.h_value(a, x)
-            assert h3_sum(f49, a, x) == x * h * h * h
+    """multinomial_sum(..., t) = y h(y)^t for every (m, s, t) of at most 3000
+    index tuples, on fields where p = 2, t >= p and q = p^e all occur."""
+    rng = np.random.default_rng(1812)
+    for spec in [(2, 1, 4), (3, 1, 4), (3, 2, 2), (5, 1, 3), (7, 1, 2)]:
+        field = Field(*spec)
+        y = field.all_elements()
+        for m in range(1, field.n + 1):
+            nd = field.n // math.gcd(m, field.n)
+            for s, t in factor_pairs(field.q ** m - 1):
+                if math.comb(nd + t - 1, t) > 3000:
+                    continue
+                params = PPParams(field, m, s, t)
+                for a in rng.choice(np.arange(1, field.order), size=min(8, field.order - 1), replace=False):
+                    got = multinomial_sum(field, m, field(a), y, t)
+                    want = y * params.h_value(field(a), y) ** t
+                    assert got.index.tolist() == want.index.tolist(), (spec, m, s, t, a)
 
 
 def test_gf5_pinned():

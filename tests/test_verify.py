@@ -205,6 +205,16 @@ def test_a_indices_outside_the_units_are_rejected():
             params.images_for([2, bad])
         with pytest.raises(ValueError, match="a indices"):
             check_family(params, [bad])
+    # non-integer selections are refused, not cast
+    for bad in ([2.9], ["3"], [True]):
+        with pytest.raises(TypeError, match="integer"):
+            params.criterion_mask(bad)
+        with pytest.raises(TypeError, match="integer"):
+            params.images_for(bad)
+        with pytest.raises(TypeError, match="integer"):
+            check_family(params, bad)
+    assert params.criterion_mask([]).shape == (0,)
+    assert check_family(params, []) == []
 
 
 def test_symbolic_check_refuses_large_field_before_work(monkeypatch):
