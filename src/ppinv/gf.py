@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-DEFAULT_MAX_ORDER = 2 ** 32
+# The largest field order: checked before any big power or primality test.
+MAX_ORDER = 2 ** 32
 
 # Dense lookup tables (exp/log, digit matrix) are only built for fields small
 # enough to sweep exhaustively.
@@ -29,32 +30,6 @@ SCALAR_TABLE_LIMIT = 2 ** 16
 
 # An element index: an int, or an int64 array of indices on a field with tables.
 Index = int | np.ndarray
-
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for all n below 3.3e24)."""
-    if n < 2:
-        return False
-    for w in _MR_WITNESSES:
-        if n % w == 0:
-            return n == w
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for w in _MR_WITNESSES:
-        x = pow(w, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def prime_factors(n: int) -> list[int]:
@@ -72,37 +47,9 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Polynomials over F_p as little-endian coefficient lists, for the gcd step of
-# the irreducibility test.
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    for k in range(len(a) - 1, dm - 1, -1):
-        c = a[k]
-        if c:
-            a[k] = 0
-            for j in range(dm):
-                a[k - dm + j] = (a[k - dm + j] - c * m[j]) % p
-    del a[dm:]
-    return _ptrim(a)
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        bm = [(c * inv_lead) % p for c in b]
-        a, b = b, _pmod(a, bm, p)
-    return a
+def is_prime(n: int) -> bool:
+    """Primality by trial division: at most ~2 ms up to MAX_ORDER."""
+    return n > 1 and prime_factors(n) == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +69,7 @@ class _PackedKernel:
     """Multiplication mod a monic modulus on packed residues.
 
     ``pack``/``unpack`` convert between a field index and the packed form;
-    ``mul``, ``sqr`` and ``pow`` work on packed values only, so a power
+    ``add``, ``mul``, ``sqr`` and ``pow`` work on packed values only, so a power
     converts once on the way in and once on the way out.  The ``*_idx``
     methods on indices are the scalar backend above SCALAR_TABLE_LIMIT.
 
@@ -194,10 +141,7 @@ class _Gf2Kernel(_PackedKernel):
         return i
 
     unpack = neg_idx = pack
-    add_idx = staticmethod(operator.xor)
-
-    def digits(self, v: int) -> list[int]:
-        return [v >> i & 1 for i in range(self.degree)]
+    add = add_idx = staticmethod(operator.xor)
 
     def reduce(self, v: int) -> int:
         D, mask, taps = self.degree, self.mask, self.taps
@@ -292,10 +236,6 @@ class _OddKernel(_PackedKernel):
         W = self.width
         return sum(c << W * i for i, c in enumerate(digits))
 
-    def digits(self, v: int) -> list[int]:
-        W, slot = self.width, self.slot
-        return [v >> W * i & slot for i in range(self.degree)]
-
     def _barrett_mu(self) -> int:
         """x^(2D-2) div m by long division on the packed dividend."""
         D, W, p = self.degree, self.width, self.p
@@ -317,8 +257,11 @@ class _OddKernel(_PackedKernel):
         q = self._mod((prod >> W * D) * self.mu) >> W * (D - 2) if D > 1 else 0
         return self._mod((prod & self.low) + (q * self.negm & self.low))
 
+    def add(self, a: int, b: int) -> int:
+        return self._mod(a + b)
+
     def add_idx(self, i: int, j: int) -> int:
-        return self.unpack(self._mod(self.pack(i) + self.pack(j)))
+        return self.unpack(self.add(self.pack(i), self.pack(j)))
 
     def neg_idx(self, i: int) -> int:
         return self.unpack(self._mod(self.p_ones - self.pack(i)))
@@ -377,11 +320,15 @@ def _kernel(p: int, modulus) -> _PackedKernel:
 
 
 def _is_irreducible(m, p) -> bool:
-    """Deterministic irreducibility test for a monic polynomial over F_p.
+    """Deterministic irreducibility test for a monic polynomial over F_p (Rabin 1980).
 
     Checks x^(p^deg) == x mod m together with gcd(x^(p^(deg/r)) - x, m) = 1
     for every prime r dividing deg.  Candidates with the root 0 or 1 are
-    rejected first.
+    rejected first.  Once x^(p^deg) == x, m divides x^(p^deg) - x, so it is
+    squarefree with irreducible factors of degrees dividing deg (Lidl and
+    Niederreiter, Th. 3.20), and F_p[x]/(m) is a product of fields whose unit
+    groups have orders dividing p^deg - 1.  A residue u is therefore coprime
+    to m exactly when u^(p^deg - 1) == 1, which the packed kernel computes.
     """
     deg = len(m) - 1
     if deg < 1:
@@ -398,9 +345,8 @@ def _is_irreducible(m, p) -> bool:
     if frob[deg] != K.x:
         return False
     for r in prime_factors(deg):
-        diff = K.digits(frob[deg // r])
-        diff[1] = (diff[1] - 1) % p
-        if len(_pgcd(m, _ptrim(diff), p)) > 1:
+        u = K.add(frob[deg // r], (p - 1) * K.x)  # x^(p^(deg/r)) - x
+        if K.pow(u, K.group) != 1:
             return False
     return True
 
@@ -504,21 +450,22 @@ class FieldElement:
 class Field:
     """F_{q^n} with q = p^e, realised as F_p[x]/(modulus)."""
 
-    def __init__(self, p: int, e: int = 1, n: int = 1, max_order: int = DEFAULT_MAX_ORDER):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
+    def __init__(self, p: int, e: int = 1, n: int = 1):
+        p, e, n = operator.index(p), operator.index(e), operator.index(n)  # TypeError on floats
         if e < 1 or n < 1:
             raise ValueError("extension degrees must be positive")
         degree = e * n
-        order = p ** degree
-        if order > max_order:
-            raise ValueError(f"field order {order} exceeds bound {max_order}")
+        # p^degree >= 2^degree, so a long degree is refused before its power is taken
+        if p > 1 and (degree >= MAX_ORDER.bit_length() or p ** degree > MAX_ORDER):
+            raise ValueError(f"field order {p}^{degree} exceeds the bound {MAX_ORDER}")
+        if not is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         self.p = p
         self.e = e
         self.n = n
         self.degree = degree
         self.q = p ** e
-        self.order = order
+        self.order = p ** degree
         self.modulus: tuple[int, ...] = first_irreducible(p, degree)
 
     # -- identity ----------------------------------------------------------
@@ -536,7 +483,7 @@ class Field:
         return f"{self.p}^{self.e}^{self.n}"
 
     @classmethod
-    def from_descriptor(cls, text: str, max_order: int = DEFAULT_MAX_ORDER) -> "Field":
+    def from_descriptor(cls, text: str) -> "Field":
         """Parse a "p^e^n" descriptor."""
         parts = text.split("^")
         if len(parts) != 3:
@@ -545,7 +492,7 @@ class Field:
             p, e, n = (int(s) for s in parts)
         except ValueError:
             raise ValueError(f"non-integer component in field descriptor {text!r}") from None
-        return cls(p, e, n, max_order=max_order)
+        return cls(p, e, n)
 
     def __repr__(self):
         return f"Field({self.p}, {self.e}, {self.n})"
@@ -562,6 +509,8 @@ class Field:
             if value.field != self:
                 raise TypeError("element belongs to a different field")
             return value
+        if isinstance(value, bool):
+            raise TypeError("element index must be an integer, got bool")
         if isinstance(value, (int, np.integer)):
             k = int(value)
             if not 0 <= k < self.order:

@@ -1,6 +1,7 @@
 """CLI behaviour and the exit-code contract (0 PP/success, 1 negative, 2 input error)."""
 
 import json
+import time
 
 import pytest
 
@@ -61,6 +62,16 @@ def test_exit_codes_on_malformed_input(capsys, argv, code, needle):
     got, _, err = run(capsys, *argv)
     assert got == code
     assert needle in err
+
+
+def test_descriptor_over_the_order_bound_exits_2_at_once(capsys):
+    # 3^(3 10^7) is neither computed nor printed: the message names the bound
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--field", "3^1^30000000", "--m", "1", "--s", "2", "--t", "1",
+                         "--a", "1")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert "field order 3^30000000 exceeds the bound 4294967296" in err
 
 
 def test_check_json(capsys):

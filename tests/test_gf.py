@@ -1,16 +1,21 @@
 """Field construction and element arithmetic."""
 
 import operator
+import random
+import time
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ppinv.gf
 from ppinv.gf import (
+    MAX_ORDER,
     SCALAR_TABLE_LIMIT,
     Field,
     FieldElement,
+    _is_irreducible,
     _kernel,
     _ListKernel,
     first_irreducible,
@@ -46,10 +51,42 @@ def test_build_errors():
     with pytest.raises(ValueError):
         Field(5, 1, 0)
     with pytest.raises(ValueError):
-        Field(2, 1, 33)  # 2^33 over the default bound
-    Field(2, 1, 5, max_order=32)
-    with pytest.raises(ValueError):
-        Field(2, 1, 6, max_order=32)
+        Field(2, 1, 33)  # 2^33 over the bound
+    # a huge degree is refused before 3^(3 10^7) is computed or printed
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"exceeds the bound {MAX_ORDER}"):
+        Field(3, 1, 30_000_000)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_bound_is_checked_before_primality(monkeypatch):
+    def no_trial_division(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr(ppinv.gf, "prime_factors", no_trial_division)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        Field(2 ** 61 - 1)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        Field(7, 1, 12)
+
+
+@pytest.mark.parametrize("spec", [(3, 1, 4), (3, 1, 20), (2, 1, 32)])
+def test_numpy_integer_components(spec):
+    F = Field(*(np.int64(c) for c in spec))
+    twin = Field(*spec)
+    assert F == twin and F.modulus == twin.modulus
+    assert all(type(c) is int for c in (F.p, F.e, F.n, F.order))
+    rng = random.Random(spec[2])
+    for _ in range(20):
+        i, j = rng.randrange(F.order), rng.randrange(1, F.order)
+        k = rng.randrange(2 * F.order)
+        assert (F(i) * F(j)).index == (twin(i) * twin(j)).index
+        assert (F(i) + F(j)).index == (twin(i) + twin(j)).index
+        assert (F(i) ** k).index == (twin(i) ** k).index
+        assert F(j).inverse().index == twin(j).inverse().index
+    for bad in ((3.0,), (3, 1.0, 2), (3, 1, np.float64(2))):
+        with pytest.raises(TypeError):
+            Field(*bad)
 
 
 def test_first_irreducible_is_irreducible_by_brute_force():
@@ -66,6 +103,13 @@ def test_primality_helpers():
     assert [n for n in range(60) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert prime_factors(728) == [2, 7, 13]
     assert prime_factors(1) == []
+    assert not is_prime(0) and not is_prime(-7)
+    assert is_prime(2 ** 32 - 5)  # the largest prime p with a field under MAX_ORDER
+    ntheory = pytest.importorskip("sympy.ntheory")
+    assert [n for n in range(2 * 10 ** 5) if is_prime(n)] == list(ntheory.primerange(2 * 10 ** 5))
+    rng = random.Random(2024)
+    for n in (rng.randrange(2 ** 31 + 1, 2 ** 32 + 1) for _ in range(300)):
+        assert is_prime(n) == ntheory.isprime(n), n
 
 
 def test_arith_pinned_f9():
@@ -156,6 +200,14 @@ def test_from_coeffs_rejects_non_integers():
             F9.from_coeffs(bad)
     assert F9.from_coeffs([np.int64(1), 2]) == F9(7)
     assert type(F9.from_coeffs([np.int64(1), np.int64(2)]).index) is int
+
+
+def test_element_rejects_scalar_bool():
+    F5 = Field(5)
+    for bad in (True, False):
+        with pytest.raises(TypeError):
+            F5.element(bad)
+    assert F5.element(1) == F5.one and F5.element(np.int64(0)) == F5.zero
 
 
 def test_enumeration_and_index_round_trip():
@@ -369,6 +421,18 @@ def test_first_irreducible_agrees_with_sympy():
         for k in range(first):
             cand = [k // p ** i % p for i in range(degree)] + [1]
             assert not irreducible(cand, p), (p, degree, cand)
+
+
+@pytest.mark.parametrize("p, top", [(2, 10), (3, 6), (5, 4), (7, 4), (11, 3), (13, 3)])
+def test_is_irreducible_agrees_with_sympy_on_every_candidate(p, top):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    for degree in range(1, top + 1):
+        for k in range(p ** degree):
+            cand = [k // p ** i % p for i in range(degree)] + [1]
+            expected = galoistools.gf_irreducible_p(list(reversed(cand)), p, ZZ)
+            assert _is_irreducible(cand, p) == expected, (p, cand)
 
 
 def _ref_mul(p, modulus, i, j):
