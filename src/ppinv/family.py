@@ -10,6 +10,8 @@ of h and of the linearized inverse come from one Frobenius chain.
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -104,12 +106,12 @@ class PPParams:
             raise NotPermutationError(f"a={first} is an s-th power; f is not a permutation")
         return a, n_a, crit
 
-    def _h_terms(self, ainv: FieldElement, y: FieldElement):
-        """The n/d terms T_i = a^{-(q^{im}-1)/(q^m-1)} y^{(q^{(i-1)m}-1)/t} of h.
+    def _h_terms(self, ainv: FieldElement, ys: FieldElement):
+        """The n/d terms T_i = a^{-(q^{im}-1)/(q^m-1)} y^{(q^{(i-1)m}-1)/t} of h, given ys = y^s.
 
         T_1 = a^{-1} and T_{i+1} = T_i^{q^m} * a^{-1} y^s (see ``h_value``).
         """
-        w = ainv * y ** self.s if len(self._G) > 1 else None
+        w = ainv * ys if len(self._G) > 1 else None
         return frobenius_chain(ainv, w, self.field.q ** self.m, len(self._G))
 
     def criterion_power(self, a) -> FieldElement:
@@ -134,26 +136,28 @@ class PPParams:
         G_{i+1} = q^m G_i + s, so T_1 = a^{-1} and
         T_{i+1} = T_i^{q^m} * a^{-1} y^s.  On the packed kernels a power to
         q^m = p^{em} is a Frobenius map, linear on digit vectors, so each later
-        term costs one linear map and one product; the only general powers are
-        a^{-1} and y^s.
+        term costs one linear map and one product.  The only general power is
+        y^s: a^{-1} is a chain of Frobenius maps (see ``gf._PackedKernel``).
         """
         y = self.field.element(y)
-        terms = self._h_terms(self._unit(a).inverse(), y)
-        acc = next(terms)
-        for term in terms:  # one term alive at a time, for index arrays
-            acc = acc + term
-        return acc
+        # the generator keeps one term alive at a time, for index arrays
+        return reduce(operator.add, self._h_terms(self._unit(a).inverse(), y ** self.s))
 
     def inverse_value(self, a, y) -> FieldElement:
         """Pointwise inverse: the unique x with f(x) = y.
 
-        At y = 0 the denominator is -N(a) != 0, so the result is 0.
+        y^s is raised once and serves both h and the denominator
+        N(y^s) - N(a); on the packed kernels the norm and both inverses are
+        Frobenius chains, so y^s and the final t-th power are the only general
+        powers.  At y = 0 the denominator is -N(a) != 0, so the result is 0.
         """
         a, n_a, _ = self._permuting(a)
         y = self.field.element(y)
-        den = y ** (self.s * self._norm_exp) - n_a
-        factor = (n_a / den) * self.h_value(a, y)
-        return y * factor ** self.t
+        ys = y ** self.s
+        scale = n_a / (ys ** self._norm_exp - n_a)
+        terms = self._h_terms(a.inverse(), ys)
+        del ys  # on index arrays, one (a x y) array fewer is alive while h is summed
+        return y * (scale * reduce(operator.add, terms)) ** self.t
 
     def closed_inverse(self, a) -> "ClosedInverse":
         """Symbolic decomposition f^{-1}(y) = y (scale * g(y) * h(y))^t."""

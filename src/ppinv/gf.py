@@ -74,15 +74,28 @@ class _PackedKernel:
     methods on indices are the scalar backend above SCALAR_TABLE_LIMIT.
 
     A power to k = p^j with 0 < j < D is the Frobenius map, which is
-    F_p-linear on digit vectors: ``pow_idx`` applies it from the images of
+    F_p-linear on digit vectors: ``frob`` applies it from the images of
     x^(i k), built on first use of each k by ``_frobenius_map`` and kept in
-    ``_frob`` (keyed by every such k, None until built).
+    ``_frob`` (keyed by every such k, None until built).  ``pow_idx`` sends
+    two more exponent shapes to chains of these maps (Itoh and Tsujii, Inf.
+    Comput. 78, 1988), about log2(D) products each in place of a square and
+    multiply over the whole exponent:
+
+    - a norm exponent (p^D - 1)/(p^j - 1) with j | D, j < D, by ``_norm``;
+    - Q - 2, the inverse, by ``_inverse``.
+
+    Both are identities of exponents, exact in F_p[x]/(m) for any monic m.
     """
 
     def __init__(self, p: int, degree: int):
         self.p, self.degree = p, degree
         self.group = p ** degree - 1
         self._frob = dict.fromkeys(p ** j for j in range(1, degree))
+        # norm exponent -> (P, count): a^(1 + P + ... + P^(count-1)), P = p^j
+        self._norms = {
+            self.group // (p ** j - 1): (p ** j, degree // j)
+            for j in range(1, degree) if degree % j == 0
+        }
 
     def pow(self, a: int, k: int) -> int:
         """a^k for k >= 1, by left-to-right square and multiply."""
@@ -102,12 +115,16 @@ class _PackedKernel:
         k %= self.group
         if k == 0:
             return 1
-        if k not in self._frob:
-            return self.unpack(self.pow(self.pack(i), k))
-        frob = self._frob[k]
-        if frob is None:
-            frob = self._frob[k] = self._frobenius_map(k)
-        return self.frobenius(frob, i)
+        a = self.pack(i)
+        if k in self._frob:
+            a = self.frob(a, k)
+        elif k in self._norms:
+            a = self._norm(a, *self._norms[k])
+        elif k == self.group - 1 and self.degree > 1:
+            a = self._inverse(a)
+        else:
+            a = self.pow(a, k)
+        return self.unpack(a)
 
     def mul_idx(self, i: int, j: int) -> int:
         return self.unpack(self.mul(self.pack(i), self.pack(j)))
@@ -120,11 +137,45 @@ class _PackedKernel:
             images.append(self.mul(images[-1], step))
         return images
 
+    def frob(self, v: int, k: int) -> int:
+        """Packed v^k for packed v and k = p^j, 0 < j < D, by the map kept in ``_frob``."""
+        images = self._frob[k]
+        if images is None:
+            images = self._frob[k] = self._frobenius_map(k)
+        return self.frobenius(images, v)
+
+    def _norm(self, a: int, P: int, count: int) -> int:
+        """Packed b_count = a^(1 + P + ... + P^(count-1)) for packed a, P = p^j, j count <= D.
+
+        Doubling chain: b_(2c) = b_c^(P^c) b_c and b_(c+1) = b_c^P a, where
+        every P^c with c < count is a Frobenius map.
+        """
+        beta, Pc = a, P
+        for bit in bin(count)[3:]:
+            beta = self.mul(self.frob(beta, Pc), beta)
+            Pc *= Pc
+            if bit == "1":
+                beta = self.mul(self.frob(beta, P), a)
+                Pc *= P
+        return beta
+
+    def _inverse(self, a: int) -> int:
+        """Packed a^(Q-2) = a^(r-1) (a^r)^(p-2) with r = (Q-1)/(p-1), for D >= 2.
+
+        a^(r-1) = a^(p + ... + p^(D-1)) is b_(D-1)^p; the small (p-2)-th
+        power goes through ``pow``.
+        """
+        head = self.frob(self._norm(a, self.p, self.degree - 1), self.p)
+        if self.p == 2:
+            return head
+        return self.mul(head, self.pow(self.mul(head, a), self.p - 2))
+
 
 class _Gf2Kernel(_PackedKernel):
     """p = 2: an index is its own coefficient bit vector.
 
-    A product is a shift-and-XOR carry-less multiply, a square spreads the
+    A product is a carry-less multiply by 4-bit windows (a table of the 16
+    products a v, then one shift and XOR per nibble of b), a square spreads the
     bits apart, and x^D is folded back as the XOR of the modulus's low terms,
     shifted.  The first irreducible of each degree has few, low taps, so one or
     two folds finish the reduction.
@@ -154,14 +205,13 @@ class _Gf2Kernel(_PackedKernel):
         return v
 
     def mul(self, a: int, b: int) -> int:
-        if a < b:
-            a, b = b, a
+        """4-bit window: the carry-less products a v for v < 16, one per nibble of b."""
+        a2, a4, a8 = a << 1, a << 2, a << 3
+        a3, a6, a12 = a2 ^ a, a4 ^ a2, a8 ^ a4
+        table = (0, a, a2, a3, a4, a4 ^ a, a6, a6 ^ a, a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3)
         out = 0
-        while b:
-            if b & 1:
-                out ^= a
-            a <<= 1
-            b >>= 1
+        for shift in range(0, b.bit_length(), 4):
+            out ^= table[b >> shift & 15] << shift
         return self.reduce(out)
 
     def sqr(self, a: int) -> int:
@@ -187,11 +237,11 @@ class _Gf2Kernel(_PackedKernel):
         return tables
 
     @staticmethod
-    def frobenius(tables, i: int) -> int:
+    def frobenius(tables, v: int) -> int:
         out = 0
         for table in tables:
-            out ^= table[i & 15]
-            i >>= 4
+            out ^= table[v & 15]
+            v >>= 4
         return out
 
 
@@ -266,13 +316,16 @@ class _OddKernel(_PackedKernel):
     def neg_idx(self, i: int) -> int:
         return self.unpack(self._mod(self.p_ones - self.pack(i)))
 
-    def frobenius(self, images, i: int) -> int:
-        """Sum of c_i times the image of x^i; slot sums of at most D (p-1)^2 fit ``_mod``."""
-        p, acc = self.p, 0
+    def frobenius(self, images, v: int) -> int:
+        """Sum of the digits c_i of packed v times the images of x^i.
+
+        Slot sums of at most D (p-1)^2 fit ``_mod``.
+        """
+        W, slot, acc = self.width, self.slot, 0
         for image in images:
-            i, c = divmod(i, p)
-            acc += c * image
-        return self.unpack(self._mod(acc))
+            acc += (v & slot) * image
+            v >>= W
+        return self._mod(acc)
 
     @cached_property
     def _chunks(self) -> tuple[int, int, "list[int] | range"]:
@@ -415,6 +468,8 @@ class FieldElement:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative exponent: invert first")
+        if k == 1:  # e.g. the norm onto the whole field, or t = 1: no kernel call
+            return self
         return FieldElement(self.field, self.field._pow_idx(self.index, k))
 
     def inverse(self) -> "FieldElement":
@@ -509,7 +564,7 @@ class Field:
             if value.field != self:
                 raise TypeError("element belongs to a different field")
             return value
-        if isinstance(value, bool):
+        if isinstance(value, (bool, np.bool_)):
             raise TypeError("element index must be an integer, got bool")
         if isinstance(value, (int, np.integer)):
             k = int(value)

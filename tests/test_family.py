@@ -257,7 +257,7 @@ def test_h_recurrence_matches_geometric_exponents(spec, m, s):
         a, y = field(ai), field(yi)
         ainv = K.pow_idx(ai, field.order - 2)
         ref = [field(K.mul_idx(K.pow_idx(ainv, E), K.pow_idx(yi, G))) for E, G in _h_exponents(prm)]
-        assert list(prm._h_terms(a.inverse(), y)) == ref, (ai, yi)
+        assert list(prm._h_terms(a.inverse(), y ** s)) == ref, (ai, yi)
         assert prm.h_value(a, y) == functools.reduce(operator.add, ref), (ai, yi)
 
 
@@ -269,7 +269,7 @@ def test_h_recurrence_on_an_a_column(spec, m, s):
     a = field.element(np.arange(1, field.order, 7)[:, None])
     y = field.all_elements()
     ref = _h_reference(prm, a, y)
-    got = list(prm._h_terms(a.inverse(), y))
+    got = list(prm._h_terms(a.inverse(), y ** s))
     assert len(got) == len(ref) == field.n // prm.d
     for term, expected in zip(got, ref):
         assert np.array_equal(*np.broadcast_arrays(term.index, expected.index))
@@ -303,23 +303,30 @@ def test_criterion_comes_from_the_norm(monkeypatch):
     assert prm._crit_exp == prm._norm_exp
     a, y = field(3), field(987654321)
     assert prm.is_permutation(a)
-    expected = prm.inverse_value(a, y)  # builds the map for q^m = 2^2 once
-    calls = []
-    real = gf._PackedKernel.pow
+    expected = prm.inverse_value(a, y)  # builds the Frobenius maps once
+    assert prm.evaluate(a, expected) == y
+    calls, norms = [], []
+    real_pow, real_norm = gf._PackedKernel.pow, gf._PackedKernel._norm
 
-    def spy(self, v, k):
+    def spy_pow(self, v, k):
         calls.append(k)
-        return real(self, v, k)
+        return real_pow(self, v, k)
+
+    def spy_norm(self, v, P, count):
+        norms.append((P, count))
+        return real_norm(self, v, P, count)
 
     def no_criterion_power(self, a):
         raise AssertionError("criterion_power called")
 
-    monkeypatch.setattr(gf._PackedKernel, "pow", spy)
+    monkeypatch.setattr(gf._PackedKernel, "pow", spy_pow)
+    monkeypatch.setattr(gf._PackedKernel, "_norm", spy_norm)
     monkeypatch.setattr(PPParams, "criterion_power", no_criterion_power)
     assert prm.inverse_value(a, y) == expected
-    # N(a), a^-1, y^(s nu): the three full-size exponents
-    assert calls.count(prm._norm_exp) == 1, calls
-    assert sum(k.bit_length() >= 31 for k in calls) == 3, calls
+    # N(a), N(y^s), a^-1 and the denominator's inverse are Frobenius chains:
+    # no full-size exponent reaches square and multiply
+    assert not any(k.bit_length() >= 31 for k in calls), calls
+    assert norms.count((4, 16)) == 2 and norms.count((2, 31)) == 2, norms
     prm.closed_inverse(a)  # its scale reuses the verdict's power
 
 

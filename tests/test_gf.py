@@ -210,6 +210,13 @@ def test_element_rejects_scalar_bool():
     assert F5.element(1) == F5.one and F5.element(np.int64(0)) == F5.zero
 
 
+def test_element_rejects_numpy_bool():
+    F5 = Field(5)
+    for bad in (np.True_, np.False_):
+        with pytest.raises(TypeError, match="got bool"):
+            F5.element(bad)
+
+
 def test_enumeration_and_index_round_trip():
     F9 = Field(3, 1, 2)
     assert F9(4) == F9.from_coeffs([1, 1])  # 4 = 1 + 1*3
@@ -519,6 +526,85 @@ def test_packed_kernel_worst_case_slot_sums(p, degree):
         assert K.pow_idx(i, Q - 2) == _ref_pow(p, modulus, i, Q - 2), i
         for j, ref in enumerate(_ref_frobenius(p, modulus, i)[1:], 1):
             assert K.pow_idx(i, p ** j) == ref, (i, j)
+
+
+def _chain_exponents(p, degree):
+    """The norm exponents (p^D - 1)/(p^j - 1) for j | D, j < D, and Q - 2."""
+    Q = p ** degree
+    norms = [(Q - 1) // (p ** j - 1) for j in range(1, degree) if degree % j == 0]
+    return norms + [Q - 2]
+
+
+class _PowSpy:
+    """Records the exponents that reach a kernel's square and multiply."""
+
+    def __init__(self, K, monkeypatch):
+        self.calls, real = [], K.pow
+
+        def spy(a, k):
+            self.calls.append(k)
+            return real(a, k)
+
+        monkeypatch.setattr(K, "pow", spy)
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 32), (3, 2, 5), (251, 1, 4)])
+def test_frobenius_chains_match_schoolbook(spec, monkeypatch):
+    # every j | D gives a norm exponent; with Q - 2 they are Frobenius chains
+    F = Field(*spec)
+    K, Q, p = F._kernel, F.order, F.p
+    exps = _chain_exponents(p, F.degree)
+    assert set(exps[:-1]) == set(K._norms)
+    rng = np.random.default_rng(Q % 1000 + 2)
+    operands = [1, 2, Q - 1] + [int(v) for v in rng.integers(0, Q, 3)]
+    for i in operands:
+        for k in exps:
+            assert K.pow_idx(i, k) == _ref_pow(p, F.modulus, i, k), (i, k)
+        assert _ref_mul(p, F.modulus, i, F._inv_idx(i)) == 1, i
+    spy = _PowSpy(K, monkeypatch)  # the maps are built: no exponent beyond p - 2 is left
+    for i in operands:
+        for k in exps:
+            K.pow_idx(i, k)
+    assert all(k <= max(p - 2, 1) for k in spy.calls), spy.calls
+
+
+@pytest.mark.parametrize("p, degree", [(2, 32), (3, 20), (7, 11), (251, 4), (5, 3)])
+def test_frobenius_chains_on_reducible_moduli(p, degree):
+    # the chains are identities of exponents, exact for any monic m; pow_idx
+    # reduces k mod p^D - 1, which only a field justifies, so p^D - 1 itself
+    # (the norm exponent for p = 2, j = 1) is left out
+    modulus = (p - 1,) * degree + (1,)
+    K = _kernel(p, modulus)
+    Q = p ** degree
+    rng = np.random.default_rng(p + 1)
+    for i in [Q - 1, Q - 2, p] + [int(v) for v in rng.integers(0, Q, 3)]:
+        for k in _chain_exponents(p, degree):
+            if k < Q - 1:
+                assert K.pow_idx(i, k) == _ref_pow(p, modulus, i, k), (i, k)
+
+
+def test_inverse_of_a_prime_field_above_the_lists(monkeypatch):
+    # D = 1 has no Frobenius map, so Q - 2 falls back to square and multiply
+    F = Field(65537)
+    K = F._kernel
+    assert F._scalar is K and K._norms == {} and K._frob == {}
+    spy = _PowSpy(K, monkeypatch)
+    for i in (1, 2, 3, 12345, 65536):
+        assert F._inv_idx(i) == pow(i, 65535, 65537) == _ref_pow(65537, F.modulus, i, 65535)
+    assert spy.calls == [65535] * 5
+
+
+def test_windowed_gf2_product_matches_schoolbook():
+    # degrees 1-33 cover every window count and a ragged last nibble
+    rng = random.Random(33)
+    for degree in range(1, 34):
+        modulus = first_irreducible(2, degree)
+        K = _kernel(2, modulus)
+        top = 1 << degree - 1
+        operands = {0, 1, top, 2 * top - 1, top | 1} | {top | rng.getrandbits(degree) for _ in range(3)}
+        for i in operands:
+            for j in operands:
+                assert K.mul(i, j) == _ref_mul(2, modulus, i, j), (degree, i, j)
 
 
 @pytest.mark.parametrize("spec", [(2, 1, 9), (3, 3, 2), (5, 1, 3), (2, 1, 16)])
