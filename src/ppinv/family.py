@@ -4,14 +4,13 @@ Provides the s-th power non-residue criterion, the pointwise closed-form
 inverse, its symbolic (scale, g, h) decomposition, the inverse of the
 linearized binomial x^{q^m} - ax, and the gcd identity used to select
 branches in the t = 2 specialisation.  The powers a^{-(q^{im}-1)/(q^m-1)}
-of h and of the linearized inverse come from one Frobenius chain.
+of h and of the linearized inverse come from one Frobenius chain, and the
+pointwise h from its sum by doubling.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from functools import reduce
 
 import numpy as np
 
@@ -42,10 +41,36 @@ def frobenius_chain(term: FieldElement, w, qm: int, count: int):
         yield term
 
 
+def frobenius_sum(term: FieldElement, w, qm: int, count: int) -> FieldElement:
+    """c_1 + ... + c_count for the terms c_i of ``frobenius_chain``, by doubling.
+
+    With S_k = c_1 + ... + c_k and N_k = w^(1 + qm + ... + qm^(k-1)),
+    c_(i+k) = c_i^(qm^k) N_k and a power to qm = p^j is additive, so
+    S_2k = S_k + S_k^(qm^k) N_k, N_2k = N_k^(qm^k) N_k, S_(k+1) = term + S_k^qm w
+    and N_(k+1) = N_k^qm w (Itoh and Tsujii, Inf. Comput. 78, 1988).  N is kept
+    only for a later doubling, so this takes no more products, powers or sums
+    than the chain.  qm^k is kept mod Q - 1, never 0 as count > 1 means Q > 3.
+    """
+    group = term.field.order - 1
+    bits = bin(count)[3:]
+    total, norm, qk = term, w, qm % group  # S_k, N_k and qm^k for k = 1
+    for later, bit in zip(range(len(bits) - 1, -1, -1), bits):  # later: doublings after this one
+        total = total + total ** qk * norm
+        norm = norm ** qk * norm if later else None
+        qk = qk * qk % group
+        if bit == "1":
+            total = term + total ** qm * w
+            norm = norm ** qm * w if later else None
+            qk = qk * qm % group
+    return total
+
+
 class PPParams:
     """Validated parameters (m, s, t) with st = q^m - 1, plus derived gcd data."""
 
     def __init__(self, field: Field, m: int, s: int, t: int):
+        if any(isinstance(v, (bool, np.bool_)) for v in (m, s, t)):
+            raise TypeError("m, s and t must be integers, got bool")
         if not 1 <= m <= field.n:
             raise ValueError(f"m must lie in [1, {field.n}], got {m}")
         if s < 1 or t < 1:
@@ -106,13 +131,11 @@ class PPParams:
             raise NotPermutationError(f"a={first} is an s-th power; f is not a permutation")
         return a, n_a, crit
 
-    def _h_terms(self, ainv: FieldElement, ys: FieldElement):
-        """The n/d terms T_i = a^{-(q^{im}-1)/(q^m-1)} y^{(q^{(i-1)m}-1)/t} of h, given ys = y^s.
-
-        T_1 = a^{-1} and T_{i+1} = T_i^{q^m} * a^{-1} y^s (see ``h_value``).
-        """
-        w = ainv * ys if len(self._G) > 1 else None
-        return frobenius_chain(ainv, w, self.field.q ** self.m, len(self._G))
+    def _h_chain(self, ainv: FieldElement, ys: FieldElement):
+        """(T_1, w, q^m, n/d) for the terms T_i of h given ys = y^s (see ``h_value``):
+        T_1 = a^{-1} and T_{i+1} = T_i^{q^m} w with w = a^{-1} y^s."""
+        count = len(self._G)
+        return ainv, ainv * ys if count > 1 else None, self.field.q ** self.m, count
 
     def criterion_power(self, a) -> FieldElement:
         """a^((q^n-1)/s_bar); f permutes the field iff this is not 1."""
@@ -134,14 +157,14 @@ class PPParams:
         G_i = (q^{(i-1)m}-1)/t = s (1 + q^m + ... + q^{(i-2)m}), using
         st = q^m - 1.  Hence E_1 = 1, G_1 = 0, E_{i+1} = q^m E_i + 1 and
         G_{i+1} = q^m G_i + s, so T_1 = a^{-1} and
-        T_{i+1} = T_i^{q^m} * a^{-1} y^s.  On the packed kernels a power to
-        q^m = p^{em} is a Frobenius map, linear on digit vectors, so each later
-        term costs one linear map and one product.  The only general power is
-        y^s: a^{-1} is a chain of Frobenius maps (see ``gf._PackedKernel``).
+        T_{i+1} = T_i^{q^m} * a^{-1} y^s.  The sum is a twisted trace, which
+        ``frobenius_sum`` doubles in about 2 log2(n/d) powers to q^{mk} and
+        products.  On the packed kernels such a power is a Frobenius map, linear
+        on digit vectors; the only general power is y^s, as a^{-1} is a chain of
+        Frobenius maps (see ``gf._PackedKernel``).
         """
         y = self.field.element(y)
-        # the generator keeps one term alive at a time, for index arrays
-        return reduce(operator.add, self._h_terms(self._unit(a).inverse(), y ** self.s))
+        return frobenius_sum(*self._h_chain(self._unit(a).inverse(), y ** self.s))
 
     def inverse_value(self, a, y) -> FieldElement:
         """Pointwise inverse: the unique x with f(x) = y.
@@ -155,9 +178,9 @@ class PPParams:
         y = self.field.element(y)
         ys = y ** self.s
         scale = n_a / (ys ** self._norm_exp - n_a)
-        terms = self._h_terms(a.inverse(), ys)
+        chain = self._h_chain(a.inverse(), ys)
         del ys  # on index arrays, one (a x y) array fewer is alive while h is summed
-        return y * (scale * reduce(operator.add, terms)) ** self.t
+        return y * (scale * frobenius_sum(*chain)) ** self.t
 
     def closed_inverse(self, a) -> "ClosedInverse":
         """Symbolic decomposition f^{-1}(y) = y (scale * g(y) * h(y))^t."""
@@ -168,7 +191,7 @@ class PPParams:
             (nu * self.s * (l - 1), n_a ** (self.u - l)) for l in range(1, self.u + 1)
         )
         # at y = 1 the terms are the coefficients a^{-E_i}
-        h_terms = tuple(zip(self._G, self._h_terms(a.inverse(), self.field.one)))
+        h_terms = tuple(zip(self._G, frobenius_chain(*self._h_chain(a.inverse(), self.field.one))))
         return ClosedInverse(self.field, a, self.t, scale, g_terms, h_terms)
 
     def inverse_polynomial(self, a) -> Poly:

@@ -68,15 +68,16 @@ def _repeat(word: int, width: int, count: int) -> int:
 class _PackedKernel:
     """Multiplication mod a monic modulus on packed residues.
 
-    ``pack``/``unpack`` convert between a field index and the packed form;
-    ``add``, ``mul``, ``sqr`` and ``pow`` work on packed values only, so a power
-    converts once on the way in and once on the way out.  The ``*_idx``
-    methods on indices are the scalar backend above SCALAR_TABLE_LIMIT.
+    ``pack``/``unpack`` convert between a field index and the packed form,
+    the kernel's native value; ``add``, ``neg``, ``mul``, ``sqr``, ``pow`` and
+    ``power`` work on native values only.  Above SCALAR_TABLE_LIMIT the kernel
+    is the scalar backend, and a FieldElement holds its native value, so a
+    chain of operations converts only where an index is read.
 
     A power to k = p^j with 0 < j < D is the Frobenius map, which is
     F_p-linear on digit vectors: ``frob`` applies it from the images of
     x^(i k), built on first use of each k by ``_frobenius_map`` and kept in
-    ``_frob`` (keyed by every such k, None until built).  ``pow_idx`` sends
+    ``_frob`` (keyed by every such k, None until built).  ``power`` sends
     two more exponent shapes to chains of these maps (Itoh and Tsujii, Inf.
     Comput. 78, 1988), about log2(D) products each in place of a square and
     multiply over the whole exponent:
@@ -109,25 +110,20 @@ class _PackedKernel:
     def sqr(self, a: int) -> int:
         return self.mul(a, a)
 
-    def pow_idx(self, i: int, k: int) -> int:
-        if i == 0:
+    def power(self, a: int, k: int) -> int:
+        """a^k for k >= 0 reduced mod p^D - 1: a Frobenius map, a chain or square and multiply."""
+        if a == 0:
             return 0 if k else 1
         k %= self.group
         if k == 0:
             return 1
-        a = self.pack(i)
         if k in self._frob:
-            a = self.frob(a, k)
-        elif k in self._norms:
-            a = self._norm(a, *self._norms[k])
-        elif k == self.group - 1 and self.degree > 1:
-            a = self._inverse(a)
-        else:
-            a = self.pow(a, k)
-        return self.unpack(a)
-
-    def mul_idx(self, i: int, j: int) -> int:
-        return self.unpack(self.mul(self.pack(i), self.pack(j)))
+            return self.frob(a, k)
+        if k in self._norms:
+            return self._norm(a, *self._norms[k])
+        if k == self.group - 1 and self.degree > 1:
+            return self._inverse(a)
+        return self.pow(a, k)
 
     def _frobenius_map(self, k: int) -> list[int]:
         """Packed x^(i k) for i = 0 .. D-1 (needs D >= 2)."""
@@ -187,12 +183,8 @@ class _Gf2Kernel(_PackedKernel):
         self.taps = tuple(i for i, c in enumerate(modulus[:-1]) if c)
         self.x = 2  # x, for degree >= 2
 
-    @staticmethod
-    def pack(i: int) -> int:
-        return i
-
-    unpack = neg_idx = pack
-    add = add_idx = staticmethod(operator.xor)
+    pack = unpack = neg = staticmethod(operator.pos)  # +i is i
+    add = staticmethod(operator.xor)
 
     def reduce(self, v: int) -> int:
         D, mask, taps = self.degree, self.mask, self.taps
@@ -222,8 +214,6 @@ class _Gf2Kernel(_PackedKernel):
             a >>= 8
             shift += 16
         return self.reduce(out)
-
-    mul_idx = mul
 
     def _frobenius_map(self, k: int) -> list[list[int]]:
         """Nibble tables: entry v of table c is the image of the bits v << 4c."""
@@ -310,11 +300,8 @@ class _OddKernel(_PackedKernel):
     def add(self, a: int, b: int) -> int:
         return self._mod(a + b)
 
-    def add_idx(self, i: int, j: int) -> int:
-        return self.unpack(self.add(self.pack(i), self.pack(j)))
-
-    def neg_idx(self, i: int) -> int:
-        return self.unpack(self._mod(self.p_ones - self.pack(i)))
+    def neg(self, a: int) -> int:
+        return self._mod(self.p_ones - a)
 
     def frobenius(self, images, v: int) -> int:
         """Sum of the digits c_i of packed v times the images of x^i.
@@ -422,65 +409,94 @@ def first_irreducible(p: int, degree: int) -> tuple[int, ...]:
 class FieldElement:
     """Element of a Field, identified by its index sum(c_i * p^i).
 
-    On a field with tables the index may also be an int64 numpy array: the
-    element then stands for every element of that array at once, operators
-    run elementwise with numpy broadcasting, and ``==``/``!=`` give boolean
-    masks (the design of the galois library's FieldArray).  A formula
-    written for scalars thus evaluates a whole array of points unchanged.
+    ``FieldElement(field, index)`` holds ``value``, the native form of the
+    scalar backend (packed on the odd-p packed kernel, else the index), which
+    the operators pass straight to its ``add``, ``neg``, ``mul`` and ``power``;
+    ``index`` converts back once and caches.  On a field with tables the index
+    may be an int64 numpy array, also the value: operators then run elementwise
+    on the FieldTables kernels with broadcasting and ``==``/``!=`` give masks
+    (the galois library's FieldArray), so a formula evaluates arrays unchanged.
     """
 
-    __slots__ = ("field", "index")
+    __slots__ = ("field", "value", "_index")
 
-    def __init__(self, field: "Field", index: Index):
+    def __init__(self, field: "Field", index: Index | None, value=None):
         self.field = field
-        self.index = index
+        self._index = index
+        if value is None:
+            value = index if index.__class__ is np.ndarray else field._scalar.pack(index)
+        self.value = value
+
+    @property
+    def index(self) -> Index:
+        if self._index is None:
+            v = self.value
+            self._index = v if v.__class__ is np.ndarray else self.field._scalar.unpack(v)
+        return self._index
 
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self.field._digits(self.index)
 
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or (
-            other.field is not self.field and other.field != self.field
-        ):
-            raise TypeError("operands belong to different fields")
-        return other
+    def _pair(self, other):
+        """The backend for self op other, and both operands in its native form."""
+        f = self.field
+        if other.__class__ is not FieldElement or other.field is not f:
+            if not isinstance(other, FieldElement) or other.field != f:
+                raise TypeError("operands belong to different fields")
+            other = FieldElement(f, other.index)  # an equal field may hold another native form
+        a, b = self.value, other.value
+        if a.__class__ is np.ndarray or b.__class__ is np.ndarray:
+            return f.tables, self.index, other.index
+        return f._scalar, a, b
 
     def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field._add_idx(self.index, other.index))
+        ops, a, b = self._pair(other)
+        return FieldElement(self.field, None, ops.add(a, b))
 
     def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field._sub_idx(self.index, other.index))
+        return self + -other  # for a non-element, -other is none either and __add__ raises TypeError
 
     def __neg__(self):
-        return FieldElement(self.field, self.field._neg_idx(self.index))
+        v = self.value
+        if v.__class__ is np.ndarray:
+            return FieldElement(self.field, None, self.field.tables.neg[v])
+        return FieldElement(self.field, None, self.field._scalar.neg(v))
 
     def __mul__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field._mul_idx(self.index, other.index))
+        ops, a, b = self._pair(other)
+        return FieldElement(self.field, None, ops.mul(a, b))
 
     def __truediv__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field._mul_idx(self.index, self.field._inv_idx(other.index)))
+        self._pair(other)  # the field check comes before other.inverse() can raise
+        return self * other.inverse()
 
     def __pow__(self, k: int):
+        if k.__class__ is not int:
+            k = operator.index(k)  # TypeError on floats, for scalars and arrays alike
         if k < 0:
             raise ValueError("negative exponent: invert first")
         if k == 1:  # e.g. the norm onto the whole field, or t = 1: no kernel call
             return self
-        return FieldElement(self.field, self.field._pow_idx(self.index, k))
+        v = self.value
+        if v.__class__ is np.ndarray:
+            return FieldElement(self.field, None, self.field.tables.pow(v, k))
+        return FieldElement(self.field, None, self.field._scalar.power(v, k))
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field._inv_idx(self.index))
+        v = self.value
+        if v.__class__ is np.ndarray:
+            return FieldElement(self.field, None, self.field.tables.inv_of(v))
+        if not v:
+            raise ZeroDivisionError("inverse of zero")
+        return FieldElement(self.field, None, self.field._scalar.power(v, self.field.order - 2))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and (other.field is self.field or other.field == self.field)
-            and self.index == other.index
-        )
+        if other.__class__ is FieldElement and other.field is self.field:
+            a, b = self.value, other.value
+            if a.__class__ is not np.ndarray and b.__class__ is not np.ndarray:
+                return a == b  # native forms are canonical: packed slots lie in [0, p)
+        return isinstance(other, FieldElement) and other.field == self.field and self.index == other.index
 
     def __ne__(self, other):
         eq = self == other
@@ -490,7 +506,7 @@ class FieldElement:
         return hash((self.field, self.index))
 
     def __bool__(self):
-        return self.index != 0
+        return self.value != 0
 
     def __int__(self):
         return self.index
@@ -577,7 +593,7 @@ class Field:
             if value.size and (value.min() < 0 or value.max() >= self.order):
                 raise ValueError(f"element indices out of range [0, {self.order})")
             self.tables  # arrays run on the table kernels
-            return FieldElement(self, value.astype(np.int64, copy=False))
+            return FieldElement(self, np.asarray(value, dtype=np.int64))  # a plain ndarray
         return self.from_coeffs(value)
 
     __call__ = element
@@ -592,21 +608,19 @@ class Field:
 
     @property
     def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
+        return FieldElement(self, 0, 0)  # 0 and 1 are their own native forms
 
     @property
     def one(self) -> FieldElement:
-        return FieldElement(self, 1)
+        return FieldElement(self, 1, 1)
 
     def elements(self):
         """All field elements in index order."""
-        for k in range(self.order):
-            yield FieldElement(self, k)
+        return (FieldElement(self, k) for k in range(self.order))
 
     def units(self):
         """All nonzero elements in index order."""
-        for k in range(1, self.order):
-            yield FieldElement(self, k)
+        return (FieldElement(self, k) for k in range(1, self.order))
 
     def all_elements(self) -> FieldElement:
         """Every field element at once: one element holding the index array 0..Q-1."""
@@ -621,7 +635,7 @@ class Field:
     def _index(self, digits) -> int:
         return sum(c * self.p ** i for i, c in enumerate(digits))
 
-    # -- arithmetic on indices ------------------------------------------------
+    # -- backends ---------------------------------------------------------------
     # An index array operand goes to the FieldTables kernels, a scalar to _scalar.
 
     @cached_property
@@ -631,38 +645,8 @@ class Field:
 
     @cached_property
     def _scalar(self) -> "_ListKernel | _PackedKernel":
-        """The scalar backend, fixed by the order alone; built on the first scalar operation."""
+        """The scalar backend, fixed by the order alone; built by the first scalar element."""
         return _ListKernel(self.tables) if self.order <= SCALAR_TABLE_LIMIT else self._kernel
-
-    def _add_idx(self, i: Index, j: Index) -> Index:
-        if isinstance(i, np.ndarray) or isinstance(j, np.ndarray):
-            return self.tables.add(i, j)
-        return self._scalar.add_idx(i, j)
-
-    def _neg_idx(self, i: Index) -> Index:
-        if isinstance(i, np.ndarray):
-            return self.tables.neg[i]
-        return self._scalar.neg_idx(i)
-
-    def _sub_idx(self, i: Index, j: Index) -> Index:
-        return self._add_idx(i, self._neg_idx(j))
-
-    def _mul_idx(self, i: Index, j: Index) -> Index:
-        if isinstance(i, np.ndarray) or isinstance(j, np.ndarray):
-            return self.tables.mul(i, j)
-        return self._scalar.mul_idx(i, j)
-
-    def _pow_idx(self, i: Index, k: int) -> Index:
-        if isinstance(i, np.ndarray):
-            return self.tables.pow(i, k)
-        return self._scalar.pow_idx(i, k)
-
-    def _inv_idx(self, i: Index) -> Index:
-        if isinstance(i, np.ndarray):
-            return self.tables.inv_of(i)
-        if i == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self._scalar.pow_idx(i, self.order - 2)
 
     # -- norm ----------------------------------------------------------------
 
@@ -744,24 +728,24 @@ class FieldTables:
             self._build_zech()
 
     def _find_generator(self) -> int:
-        f = self.field
+        f, K = self.field, self.field._kernel
         group = f.order - 1
         if group == 1:
             return 1
         checks = [group // r for r in prime_factors(group)]
         for cand in range(2, f.order):
-            if all(f._kernel.pow_idx(cand, c) != 1 for c in checks):
+            if all(K.power(K.pack(cand), c) != 1 for c in checks):  # 1 is its own packed form
                 return cand
         raise AssertionError("no generator found")  # unreachable
 
     def _exp_by_doubling(self, g: int) -> np.ndarray:
-        f = self.field
+        f, K = self.field, self.field._kernel
         p, pw = self.p, self.pw
         group = max(self.order - 1, 1)
         exp = np.empty(group, dtype=np.int64)
         exp[0] = 1
         # row i holds the digits of x^i * g^n, so digits(v g^n) = digits(v) @ step
-        step = np.array([f._digits(f._kernel.mul_idx(int(w), g)) for w in pw], dtype=np.int64)
+        step = np.array([f._digits(K.unpack(K.mul(K.pack(int(w)), K.pack(g)))) for w in pw], dtype=np.int64)
         n = 1
         while n < group:
             k = min(n, group - n)
@@ -803,8 +787,8 @@ class FieldTables:
     @cached_property
     def xpow(self) -> np.ndarray:
         """(2D - 1, D) digits of x^w for w < 2D - 1; x has index p."""
-        f, D = self.field, self.field.degree
-        high = [f._kernel.pow_idx(self.p, w) for w in range(D, 2 * D - 1)]
+        K, D = self.field._kernel, self.field.degree
+        high = [K.unpack(K.power(K.pack(self.p), w)) for w in range(D, 2 * D - 1)]
         return np.vstack([np.eye(D, dtype=np.int64), self.dig[high]])
 
     # all methods take and return int64 index arrays (broadcastable)
@@ -863,34 +847,36 @@ class FieldTables:
 class _ListKernel:
     """The scalar backend up to SCALAR_TABLE_LIMIT: FieldTables' zero-folded
     exp/log (and Zech) tables as Python lists, which index far faster than
-    numpy arrays.  Addition is XOR for p = 2, (i + j) mod p on prime fields
-    and Zech otherwise; -i = i g^((Q-1)/2) for odd p, and i for p = 2.
+    numpy arrays.  Its native value is the index, so an element is made
+    without the lists, which the first operation that reads them builds.
+    Addition is XOR for p = 2, (i + j) mod p on prime fields and Zech
+    otherwise; -i = i g^((Q-1)/2) for odd p, and i for p = 2.
     """
 
     def __init__(self, tables: FieldTables):
-        p, self.group = tables.p, max(tables.order - 1, 1)
+        p, self.tables, self.group = tables.p, tables, max(tables.order - 1, 1)
         self.half = self.group // 2
-        exp = tables.exp.tolist()
-        self.zlog = tables._zlog.tolist()
-        self.zexp = exp + exp + [0] * (2 * self.group + 1)
         if p == 2:
-            self.add_idx, self.neg_idx = operator.xor, operator.pos
+            self.add, self.neg = operator.xor, operator.pos
         elif tables._zech is None:
-            self.add_idx = lambda i, j: (i + j) % p
-        else:
-            self.zech = tables._zech.tolist()
+            self.add = lambda i, j: (i + j) % p
 
-    def add_idx(self, i: int, j: int) -> int:
+    pack = unpack = staticmethod(operator.pos)  # +i is i
+    zlog = cached_property(lambda self: self.tables._zlog.tolist())
+    zexp = cached_property(lambda self: 2 * self.tables.exp.tolist() + [0] * (2 * self.group + 1))
+    zech = cached_property(lambda self: self.tables._zech.tolist())
+
+    def add(self, i: int, j: int) -> int:
         lu = self.zlog[i]
         return self.zexp[lu + self.zech[self.zlog[j] - lu]]
 
-    def neg_idx(self, i: int) -> int:
+    def neg(self, i: int) -> int:
         return self.zexp[self.zlog[i] + self.half]
 
-    def mul_idx(self, i: int, j: int) -> int:
+    def mul(self, i: int, j: int) -> int:
         return self.zexp[self.zlog[i] + self.zlog[j]]
 
-    def pow_idx(self, i: int, k: int) -> int:
+    def power(self, i: int, k: int) -> int:
         if i == 0:
             return 0 if k else 1
         return self.zexp[self.zlog[i] * k % self.group]

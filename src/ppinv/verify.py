@@ -138,12 +138,11 @@ def _check_chunk(
     for k, row in enumerate(rows):
         rec = recs[row]
         rec.inverse_ok = bool(inverse_ok[k])
-        a = field.element(rec.a)
         if symbolic:
             oracle_poly = inverse_poly_by_interpolation(PermTable(field, img[k]))
-            rec.symbolic_ok = params.inverse_polynomial(a) == oracle_poly
+            rec.symbolic_ok = params.inverse_polynomial(rec.a) == oracle_poly
         if form:
-            value = special.evaluate_special(form, field, params.m, a, points)
+            value = special.evaluate_special(form, field, params.m, rec.a, points)
             rec.special_ok = bool((value.index == inv[k]).all())
     return recs
 

@@ -10,6 +10,8 @@ import pytest
 from ppinv.family import (
     NotPermutationError,
     PPParams,
+    frobenius_chain,
+    frobenius_sum,
     gcd_halfpower,
     linearized_images,
     linearized_inverse,
@@ -48,6 +50,14 @@ def test_params_errors():
         PPParams(F25, 0, 2, 2)
     with pytest.raises(ValueError):
         PPParams(F25, 1, 4, 0)
+
+
+def test_params_reject_bools():
+    F16 = Field(2, 1, 4)
+    PPParams(F16, 1, 1, 1)  # the same values as ints are valid
+    for args in [(True, 1, 1), (1, True, 1), (1, 1, True), (np.True_, 1, 1)]:
+        with pytest.raises(TypeError, match="bool"):
+            PPParams(F16, *args)
 
 
 def test_params_divisibility_invariants():
@@ -255,9 +265,9 @@ def test_h_recurrence_matches_geometric_exponents(spec, m, s):
         tuple(int(v) for v in rng.integers(1, field.order, 2)) for _ in range(3)
     ]:
         a, y = field(ai), field(yi)
-        ainv = K.pow_idx(ai, field.order - 2)
-        ref = [field(K.mul_idx(K.pow_idx(ainv, E), K.pow_idx(yi, G))) for E, G in _h_exponents(prm)]
-        assert list(prm._h_terms(a.inverse(), y ** s)) == ref, (ai, yi)
+        ainv = K.power(K.pack(ai), field.order - 2)
+        ref = [field(K.unpack(K.mul(K.power(ainv, E), K.power(K.pack(yi), G)))) for E, G in _h_exponents(prm)]
+        assert list(frobenius_chain(*prm._h_chain(a.inverse(), y ** s))) == ref, (ai, yi)
         assert prm.h_value(a, y) == functools.reduce(operator.add, ref), (ai, yi)
 
 
@@ -269,7 +279,7 @@ def test_h_recurrence_on_an_a_column(spec, m, s):
     a = field.element(np.arange(1, field.order, 7)[:, None])
     y = field.all_elements()
     ref = _h_reference(prm, a, y)
-    got = list(prm._h_terms(a.inverse(), y ** s))
+    got = list(frobenius_chain(*prm._h_chain(a.inverse(), y ** s)))
     assert len(got) == len(ref) == field.n // prm.d
     for term, expected in zip(got, ref):
         assert np.array_equal(*np.broadcast_arrays(term.index, expected.index))
@@ -426,3 +436,71 @@ def test_gcd_halfpower_rejects_even_base():
         gcd_halfpower(2, 1, 1)
     with pytest.raises(ValueError):
         gcd_halfpower(3, 0, 1)
+
+
+# -- the sum of a Frobenius chain by doubling ----------------------------------
+
+
+def _chain_sum(term, w, qm, count):
+    return functools.reduce(operator.add, frobenius_chain(term, w, qm, count))
+
+
+@pytest.mark.parametrize("spec", [(3, 1, 6), (2, 1, 32), (3, 1, 20), (7, 1, 11), (251, 1, 4)])
+def test_frobenius_sum_matches_the_chain(spec):
+    field = Field(*spec)
+    rng = np.random.default_rng(field.order % 997)
+    for count in range(1, 41):
+        # qm = p^j, up to p^D = Q (the identity map); the terms need not be units
+        qm = field.p ** (1 + count % field.degree) if count % 3 else field.order
+        term, w = (field(int(v)) for v in rng.integers(0, field.order, 2))
+        assert frobenius_sum(term, w, qm, count) == _chain_sum(term, w, qm, count), (count, qm)
+
+
+@pytest.mark.parametrize("spec, m", [((3, 1, 6), 1), ((2, 1, 9), 1), ((2, 2, 4), 3)])
+def test_frobenius_sum_on_a_by_y_arrays(spec, m):
+    # as h is summed on a check_family chunk: an a column, w over (a x y)
+    field = Field(*spec)
+    qm = field.q ** m
+    ainv = field.element(np.arange(1, field.order, 41)[:, None]).inverse()
+    w = ainv * field.all_elements() ** 3
+    for count in range(1, 41):
+        got = frobenius_sum(ainv, w, qm, count).index
+        want = _chain_sum(ainv, w, qm, count).index
+        assert got.shape == want.shape and np.array_equal(got, want), count
+
+
+class _Counting:
+    """Wraps an element and counts the products, powers and sums taken on it."""
+
+    def __init__(self, element, tally):
+        self.element, self.tally, self.field = element, tally, element.field
+
+    def _op(self, name, fn, other):
+        self.tally[name] += 1
+        other = other.element if isinstance(other, _Counting) else other
+        return _Counting(fn(self.element, other), self.tally)
+
+    def __mul__(self, other):
+        return self._op("mul", operator.mul, other)
+
+    def __add__(self, other):
+        return self._op("add", operator.add, other)
+
+    def __pow__(self, k):
+        return self._op("pow", operator.pow, k)
+
+
+def test_frobenius_sum_takes_no_more_operations_than_the_chain():
+    field = Field(3, 1, 20)
+    term, w = field(12345), field(67890)
+    totals = {}
+    for count in range(1, 41):
+        doubled, chained = dict.fromkeys(("mul", "pow", "add"), 0), dict.fromkeys(("mul", "pow", "add"), 0)
+        got = frobenius_sum(_Counting(term, doubled), _Counting(w, doubled), 3, count)
+        want = _chain_sum(_Counting(term, chained), _Counting(w, chained), 3, count)
+        assert got.element == want.element, count
+        assert chained == dict.fromkeys(("mul", "pow", "add"), count - 1)
+        assert all(doubled[k] <= chained[k] for k in doubled), (count, doubled)
+        totals[count] = (sum(doubled.values()), sum(chained.values()))
+    # N is only carried forward for a later doubling
+    assert [totals[c] for c in (2, 3, 4, 8, 20)] == [(3, 3), (6, 6), (8, 9), (13, 21), (23, 57)]

@@ -254,10 +254,37 @@ def test_mixed_field_operands_rejected():
         a * b
 
 
+class _OnIndices:
+    """A scalar backend's native arithmetic read on field indices: each
+    operand is converted in by ``pack`` and each result out by ``unpack``."""
+
+    def __init__(self, backend):
+        self.backend = backend
+
+    def __getattr__(self, name):
+        return getattr(self.backend, name)
+
+    def add_idx(self, i, j):
+        K = self.backend
+        return K.unpack(K.add(K.pack(i), K.pack(j)))
+
+    def neg_idx(self, i):
+        K = self.backend
+        return K.unpack(K.neg(K.pack(i)))
+
+    def mul_idx(self, i, j):
+        K = self.backend
+        return K.unpack(K.mul(K.pack(i), K.pack(j)))
+
+    def pow_idx(self, i, k):
+        K = self.backend
+        return K.unpack(K.power(K.pack(i), k))
+
+
 @pytest.mark.parametrize("spec", [(2, 1, 3), (3, 1, 2), (5, 1, 2), (2, 2, 2)])
 def test_tables_match_scalar_ops(spec):
     F = Field(*spec)
-    K = F._kernel  # packed-integer arithmetic, built apart from the tables
+    K = _OnIndices(F._kernel)  # packed-integer arithmetic, built apart from the tables
     T = F.tables
     Q = F.order
     for i in range(Q):
@@ -291,7 +318,7 @@ def test_scalar_add_matches_digitwise(spec):
     F = Field(*spec)
     p, D = F.p, F.degree
     # the field's own backend (lists at these orders) and the packed kernel
-    for backend in (F._scalar, F._kernel):
+    for backend in (_OnIndices(F._scalar), _OnIndices(F._kernel)):
         for i in range(F.order):
             neg = backend.neg_idx(i)
             assert neg == _digitwise(p, D, 0, i, -1), (backend, i)
@@ -305,9 +332,10 @@ def _reference_powers(F):
     group = F.order - 1
     if group == 1:
         return 1, [1]
+    K = _OnIndices(F._kernel)
     for g in range(2, F.order):
         powers = [1]
-        while (nxt := F._kernel.mul_idx(powers[-1], g)) != 1:
+        while (nxt := K.mul_idx(powers[-1], g)) != 1:
             powers.append(nxt)
         if len(powers) == group:
             return g, powers
@@ -472,7 +500,7 @@ def _ref_pow(p, modulus, i, k):
 )
 def test_packed_kernel_matches_schoolbook(spec):
     F = Field(*spec)
-    K, Q, p, D = F._kernel, F.order, F.p, F.degree
+    K, Q, p, D = _OnIndices(F._kernel), F.order, F.p, F.degree
     rng = np.random.default_rng(Q % 1000)
     operands = [0, 1, Q - 1] + [int(v) for v in rng.integers(0, Q, 6)]
     for i in operands:
@@ -499,7 +527,7 @@ def _ref_frobenius(p, modulus, i):
 )
 def test_p_power_exponents_match_schoolbook(spec):
     F = Field(*spec)
-    K, Q, p, D = F._kernel, F.order, F.p, F.degree  # p^j with 0 < j < D takes the Frobenius map
+    K, Q, p, D = _OnIndices(F._kernel), F.order, F.p, F.degree  # p^j with 0 < j < D takes the Frobenius map
     rng = np.random.default_rng(Q % 1000 + 1)
     for i in [0, 1, Q - 1] + [int(v) for v in rng.integers(0, Q, 4)]:
         for j, ref in enumerate(_ref_frobenius(p, F.modulus, i)):
@@ -514,7 +542,7 @@ def test_packed_kernel_worst_case_slot_sums(p, degree):
     # slot bound; a dense modulus and all-(p-1) operands reach it.  The kernel
     # computes in F_p[x]/(m) for any monic m, irreducible or not.
     modulus = (p - 1,) * degree + (1,)
-    K = _kernel(p, modulus)
+    K = _OnIndices(_kernel(p, modulus))
     Q = p ** degree
     rng = np.random.default_rng(p)
     operands = [Q - 1, Q - 2] + [int(v) for v in rng.integers(0, Q, 4)]
@@ -552,7 +580,7 @@ class _PowSpy:
 def test_frobenius_chains_match_schoolbook(spec, monkeypatch):
     # every j | D gives a norm exponent; with Q - 2 they are Frobenius chains
     F = Field(*spec)
-    K, Q, p = F._kernel, F.order, F.p
+    K, Q, p = _OnIndices(F._kernel), F.order, F.p
     exps = _chain_exponents(p, F.degree)
     assert set(exps[:-1]) == set(K._norms)
     rng = np.random.default_rng(Q % 1000 + 2)
@@ -560,8 +588,8 @@ def test_frobenius_chains_match_schoolbook(spec, monkeypatch):
     for i in operands:
         for k in exps:
             assert K.pow_idx(i, k) == _ref_pow(p, F.modulus, i, k), (i, k)
-        assert _ref_mul(p, F.modulus, i, F._inv_idx(i)) == 1, i
-    spy = _PowSpy(K, monkeypatch)  # the maps are built: no exponent beyond p - 2 is left
+        assert _ref_mul(p, F.modulus, i, F(i).inverse().index) == 1, i
+    spy = _PowSpy(F._kernel, monkeypatch)  # the maps are built: no exponent beyond p - 2 is left
     for i in operands:
         for k in exps:
             K.pow_idx(i, k)
@@ -570,11 +598,11 @@ def test_frobenius_chains_match_schoolbook(spec, monkeypatch):
 
 @pytest.mark.parametrize("p, degree", [(2, 32), (3, 20), (7, 11), (251, 4), (5, 3)])
 def test_frobenius_chains_on_reducible_moduli(p, degree):
-    # the chains are identities of exponents, exact for any monic m; pow_idx
+    # the chains are identities of exponents, exact for any monic m; power
     # reduces k mod p^D - 1, which only a field justifies, so p^D - 1 itself
     # (the norm exponent for p = 2, j = 1) is left out
     modulus = (p - 1,) * degree + (1,)
-    K = _kernel(p, modulus)
+    K = _OnIndices(_kernel(p, modulus))
     Q = p ** degree
     rng = np.random.default_rng(p + 1)
     for i in [Q - 1, Q - 2, p] + [int(v) for v in rng.integers(0, Q, 3)]:
@@ -590,7 +618,7 @@ def test_inverse_of_a_prime_field_above_the_lists(monkeypatch):
     assert F._scalar is K and K._norms == {} and K._frob == {}
     spy = _PowSpy(K, monkeypatch)
     for i in (1, 2, 3, 12345, 65536):
-        assert F._inv_idx(i) == pow(i, 65535, 65537) == _ref_pow(65537, F.modulus, i, 65535)
+        assert F(i).inverse().index == pow(i, 65535, 65537) == _ref_pow(65537, F.modulus, i, 65535)
     assert spy.calls == [65535] * 5
 
 
@@ -610,18 +638,18 @@ def test_windowed_gf2_product_matches_schoolbook():
 @pytest.mark.parametrize("spec", [(2, 1, 9), (3, 3, 2), (5, 1, 3), (2, 1, 16)])
 def test_packed_kernel_matches_tables(spec):
     F = Field(*spec)
-    K, Q = F._kernel, F.order
+    K, Q = _OnIndices(F._kernel), F.order
     assert isinstance(F._scalar, _ListKernel)  # scalars read the tables as lists
     rng = np.random.default_rng(Q)
     pairs = rng.integers(0, Q, (20000, 2)).tolist()
     exps = rng.integers(0, 2 ** 62, 20000).tolist()
     for (i, j), k in zip(pairs, exps):
-        assert K.add_idx(i, j) == F._add_idx(i, j), (i, j)
-        assert K.neg_idx(i) == F._neg_idx(i), i
-        assert K.mul_idx(i, j) == F._mul_idx(i, j), (i, j)
-        assert K.pow_idx(i, k) == F._pow_idx(i, k), (i, k)
+        assert K.add_idx(i, j) == (F(i) + F(j)).index, (i, j)
+        assert K.neg_idx(i) == (-F(i)).index, i
+        assert K.mul_idx(i, j) == (F(i) * F(j)).index, (i, j)
+        assert K.pow_idx(i, k) == (F(i) ** k).index, (i, k)
         if i:
-            assert K.pow_idx(i, Q - 2) == F._inv_idx(i), i
+            assert K.pow_idx(i, Q - 2) == F(i).inverse().index, i
 
 
 class _BackendSpy:
@@ -657,9 +685,59 @@ def test_scalar_backend_depends_on_order_alone(degree, lists, monkeypatch):
     calls = list(spy.calls)
     F.tables
     assert ops() == before
-    assert calls == ["add_idx", "mul_idx", "pow_idx", "pow_idx"]
+    # each element is packed in once, each result unpacked once where its index is read
+    assert calls == ["pack", "pack", "add", "unpack", "mul", "unpack", "power", "unpack", "power", "unpack"]
     assert spy.calls == calls * 2
     assert F._scalar is spy
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 32), (3, 1, 20), (7, 1, 11), (251, 1, 4)])
+def test_native_values_are_canonical(spec):
+    # elements hold their backend's native value; equality and hashing must
+    # not see how a value was reached
+    F = Field(*spec)
+    K = F._scalar
+    assert K is F._kernel
+    rng = random.Random(F.order)
+    elems = [F(rng.randrange(F.order)) for _ in range(6)] + [F.zero, F.one, F(F.order - 1)]
+    results = []
+    for x in elems:
+        results.append(-x)
+        results.append(x - x)
+        assert not bool(x - x) and x - x == F.zero
+        if x:
+            results.append(x.inverse())
+            assert x * x.inverse() == F.one
+        for y in elems:
+            results += [x + y, x * y, x - y]
+    for e in results:
+        ref = F(e.index)
+        assert e == ref and hash(e) == hash(ref) and e.value == ref.value, e
+        assert not e != ref
+    if F.p != 2:  # every slot of a packed result lies in [0, p), nothing above slot D - 1
+        for e in results:
+            v = e.value
+            assert v >> K.width * F.degree == 0, e
+            assert all((v >> K.width * i & K.slot) < F.p for i in range(F.degree)), e
+
+
+def test_equal_fields_with_other_native_forms_mix():
+    # an equal Field whose scalars run on its packed kernel holds packed values
+    field, bare = Field(3, 1, 5), Field(3, 1, 5)
+    bare._scalar = bare._kernel
+    x, y = field(100), bare(200)
+    assert x.value == 100 and y.value != 200
+    assert (x * y).index == (bare(100) * y).index == (field(100) * field(200)).index
+    assert (y + x).index == (field(200) + x).index
+    assert x == bare(100) and bare(100) == x and hash(x) == hash(bare(100))
+
+
+def test_power_takes_an_integer_exponent():
+    F = Field(3, 1, 4)
+    for x in (F(5), F.all_elements()):
+        with pytest.raises(TypeError):
+            x ** 2.0
+        assert np.array_equal((x ** np.int64(3)).index, (x * x * x).index)
 
 
 # -- index-array elements against scalar elements -----------------------------

@@ -218,7 +218,7 @@ def schoolbook_mul(a, b):
             C[:, u + v] = (C[:, u + v] + np.convolve(A[:, u], B[:, v]) % p) % p
     # x^k for k >= D, from the highest down, folds into the digits below D
     for k in range(2 * D - 2, D - 1, -1):
-        C[:, :D] = (C[:, :D] + C[:, k:k + 1] * T.dig[f._pow_idx(p, k)]) % p
+        C[:, :D] = (C[:, :D] + C[:, k:k + 1] * T.dig[(f(p) ** k).index]) % p
     return Poly(f, C[:, :D] @ T.pw)
 
 
