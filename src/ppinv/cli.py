@@ -149,13 +149,7 @@ def cmd_verify(args) -> int:
     else:
         selection = [_parse_element(field, args.a, args.coeffs).index]
     checks = check_family(params, selection, symbolic=True, cap=args.oracle_cap)
-    mismatches = 0
-    pp_count = 0
     for rec in checks:
-        if rec.criterion:
-            pp_count += 1
-        if rec.mismatch:
-            mismatches += 1
         _emit(
             {
                 "a": rec.a,
@@ -166,11 +160,16 @@ def cmd_verify(args) -> int:
             },
             args.format,
         )
+    pp_count = sum(rec.criterion for rec in checks)
+    mismatches = sum(rec.mismatch for rec in checks)
     _emit({"total": len(checks), "pp_count": pp_count, "mismatches": mismatches}, args.format)
     return 0 if mismatches == 0 else 1
 
 
 def cmd_survey(args) -> int:
+    if args.max_order < 2:
+        print(f"error: no field has order <= {args.max_order}", file=sys.stderr)
+        return 2
     rows = write_survey_csv(args.out, args.max_order, cap=args.oracle_cap)
     print(f"wrote {rows} rows to {args.out}")
     return 0

@@ -7,12 +7,19 @@ products.  Reduction mod x^Q - x (Q the field order) uses the exponent rule
 k -> ((k - 1) mod (Q - 1)) + 1 for k >= Q, which never sends a positive
 exponent to 0 and therefore preserves the induced function on the whole
 field, including at 0.  Two reduced polynomials are equal iff they induce
-the same function.
+the same function (Lidl & Niederreiter, Finite Fields, ch. 7).  Powers and
+products run on polynomials in z = x^e, e the gcd of Q - 1 and every nonzero
+exponent: with M = (Q - 1)/e, z -> x^e is a ring homomorphism
+F[z]/(z^(M+1) - z) -> F[x]/(x^Q - x), as x^(e(M+1)) = x^(Q-1+e) = x^e, and it
+keeps reduced representatives reduced (degree <= eM = Q - 1).  So they fold
+idx[::e] by the same rule at M + 1 (k -> ((k - 1) mod M) + 1 for k > M) and
+scatter the result back; e = 1 is the product on all Q coefficients.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -112,6 +119,8 @@ class Poly:
 
     @classmethod
     def monomial(cls, field: Field, exp: int, coeff=1) -> "Poly":
+        if exp < 0:
+            raise ValueError("negative exponent")
         c = field.element(coeff)
         arr = np.zeros(exp + 1, dtype=np.int64)
         arr[exp] = c.index
@@ -234,59 +243,68 @@ class Poly:
 
     def reduce(self) -> "Poly":
         """Canonical representative of the induced function (degree < Q)."""
-        Q = self.field.order
-        if len(self.idx) <= Q:
+        return self._reduce(self.field.order)
+
+    def _reduce(self, order: int) -> "Poly":
+        """Fold mod x^order - x: x^k -> x^(((k - 1) mod (order - 1)) + 1) for k >= order."""
+        if len(self.idx) <= order:
             return Poly(self.field, self.idx)
-        out = self.idx[:Q].copy()
-        for lo in range(Q, len(self.idx), Q - 1):  # x^(Q + (Q-1) r + i) -> x^(i+1)
-            chunk = self.idx[lo:lo + Q - 1]
+        out = self.idx[:order].copy()
+        for lo in range(order, len(self.idx), order - 1):  # x^(order + (order-1) r + i) -> x^(i+1)
+            chunk = self.idx[lo:lo + order - 1]
             out[1:len(chunk) + 1] = self.field.tables.add(out[1:len(chunk) + 1], chunk)
         return Poly(self.field, out)
 
     def mul_mod(self, other: "Poly") -> "Poly":
-        return (self * other).reduce()
+        """Product mod x^Q - x: with z = x^e, e = gcd(Q - 1, both operands'
+        exponents), the product in z folded mod z^(M+1) - z, M = (Q - 1)/e."""
+        Q = self.field.order
+        e = _step(Q, self, other)
+        z = Poly(self.field, self.idx[::e]) * Poly(other.field, other.idx[::e])
+        return _spread(z._reduce((Q - 1) // e + 1), e)
 
     def frobenius(self) -> "Poly":
         """p-th power of the polynomial, reduced: coefficients c -> c^p, exponents k -> kp."""
+        return self._frobenius(self.field.order)
+
+    def _frobenius(self, order: int) -> "Poly":
         f = self.field
         if not self:
             return Poly(f)
         kk = np.nonzero(self.idx)[0].astype(np.int64)
-        return _fold(f, kk * f.p, f.tables.frob[self.idx[kk]])
-
-    def _small_pow(self, k: int) -> "Poly":
-        """k-th power for k >= 1, by square and multiply."""
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result.mul_mod(base)
-            k >>= 1
-            if k:
-                base = base.mul_mod(base)
-        return result
+        return _fold(f, kk * f.p, f.tables.frob[self.idx[kk]], order)
 
     def pow_mod(self, k: int) -> "Poly":
-        """k-th power mod x^Q - x, splitting the exponent in base p.
+        """k-th power mod x^Q - x: with z = x^e, e = gcd(Q - 1, the exponents
+        of the reduced base), the power in z folded mod z^(M+1) - z, M = (Q - 1)/e.
 
-        Digits at p^j are handled on the j-fold Frobenius image, which costs
-        no convolutions, so pure p-power exponents reduce to coefficient maps.
+        The exponent is split in base p: digits at p^j are handled on the
+        j-fold Frobenius image, which costs no convolutions, so pure p-power
+        exponents reduce to coefficient maps; each digit by square and multiply.
         """
+        k = operator.index(k)
         if k < 0:
             raise ValueError("negative exponent")
+        f = self.field
         if k == 0:
-            return Poly.one(self.field)
+            return Poly.one(f)
         base = self.reduce()
+        e = _step(f.order, base)
+        order = (f.order - 1) // e + 1
+        base = Poly(f, base.idx[::e])
         result = None
-        p = self.field.p
         while k:
-            k, d = divmod(k, p)
-            if d:
-                piece = base._small_pow(d)
-                result = piece if result is None else result.mul_mod(piece)
+            k, d = divmod(k, f.p)
+            power = base
+            while d:
+                if d & 1:
+                    result = power if result is None else (result * power)._reduce(order)
+                d >>= 1
+                if d:
+                    power = (power * power)._reduce(order)
             if k:
-                base = base.frobenius()
-        return result
+                base = base._frobenius(order)
+        return _spread(result, e)
 
     def compose_mod(self, inner: "Poly") -> "Poly":
         """Reduced composition self(inner(x)); exploits sparse outer terms."""
@@ -348,14 +366,26 @@ class Poly:
         return cls(field, np.concatenate([y_by_x[:1], T.neg[sums]]))
 
 
-def _fold(field: Field, exps: np.ndarray, coeffs: np.ndarray) -> Poly:
-    """Reduced sum of the terms coeffs[i] x^exps[i], folded mod x^Q - x.
+def _step(order: int, *polys: Poly) -> int:
+    """The gcd of order - 1 and every nonzero exponent of the polys."""
+    return int(np.gcd.reduce(np.concatenate([[order - 1], *(np.flatnonzero(p.idx) for p in polys)])))
+
+
+def _spread(z: Poly, e: int) -> Poly:
+    """z(x^e): coefficient j moves to j e."""
+    out = np.zeros((len(z.idx), e), dtype=np.int64)
+    out[:, 0] = z.idx
+    return Poly(z.field, out.ravel())
+
+
+def _fold(field: Field, exps: np.ndarray, coeffs: np.ndarray, order: int | None = None) -> Poly:
+    """Sum of the terms coeffs[i] x^exps[i], folded mod x^order - x (order Q by default).
 
     Terms that land on the same exponent are added digit-wise.
     """
-    Q = field.order
+    order = order or field.order
     T = field.tables
-    tgt = np.where(exps < Q, exps, (exps - 1) % (Q - 1) + 1)
+    tgt = np.where(exps < order, exps, (exps - 1) % (order - 1) + 1)
     acc = np.zeros((tgt.max(initial=0) + 1, field.degree), dtype=np.int64)
     np.add.at(acc, tgt, T.dig[coeffs])
     return Poly(field, (acc % field.p) @ T.pw)

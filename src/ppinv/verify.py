@@ -23,8 +23,8 @@ import numpy as np
 
 from . import special
 from .family import PPParams
-from .gf import Field
-from .oracle import PermTable, check_cap, inverse_poly_by_interpolation
+from .gf import Field, is_prime, prime_factors
+from .oracle import CapExceededError, PermTable, check_cap, inverse_poly_by_interpolation, oracle_cap
 from .poly import check_interp_limit
 
 # field points per check_family chunk: one row at the 2^16 oracle cap
@@ -40,21 +40,13 @@ def factor_pairs(v: int) -> list[tuple[int, int]]:
 
 def field_splits(max_order: int) -> list[tuple[int, int, int]]:
     """Every (p, e, n) with p prime and p^(e*n) <= max_order, sorted by (order, p, e, n)."""
-    from .gf import is_prime
-
     out = []
-    p = 2
-    while p <= max_order:
-        if is_prime(p):
-            k = 1
-            while p ** k <= max_order:
-                for e in range(1, k + 1):
-                    if k % e == 0:
-                        out.append((p ** k, p, e, k // e))
-                k += 1
-        p += 1
-    out.sort()
-    return [(p, e, n) for _, p, e, n in out]
+    for p in filter(is_prime, range(2, max_order + 1)):
+        k = 1
+        while p ** k <= max_order:
+            out += [(p ** k, p, e, k // e) for e in range(1, k + 1) if k % e == 0]
+            k += 1
+    return [(p, e, n) for _, p, e, n in sorted(out)]
 
 
 def bijection_mask(images: np.ndarray) -> np.ndarray:
@@ -182,7 +174,15 @@ def survey_rows(max_order: int, cap: int | None = None):
 
 
 def write_survey_csv(out, max_order: int, cap: int | None = None) -> int:
-    """Write the survey to a path or text file object; returns the row count."""
+    """Write the survey to a path or text file object; returns the row count.
+
+    The cap is checked on the orders above it before the file is opened, so a
+    refused survey leaves an existing file untouched.
+    """
+    limit = oracle_cap(cap)
+    for order in range(max(limit + 1, 2), max_order + 1):  # a prime lies in (n, 2n]
+        if len(prime_factors(order)) == 1:
+            raise CapExceededError(f"field order {order} exceeds oracle cap {limit}")
     if hasattr(out, "write"):
         return _write_survey(out, max_order, cap)
     with open(out, "w", newline="") as handle:

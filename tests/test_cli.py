@@ -112,6 +112,33 @@ def test_invert_symbolic(capsys):
     assert report["inverse_coeffs"] == "0,0,0,1"
 
 
+# sha256 of the whole `invert --symbolic` output, one case per s_bar; the
+# inverse y (scale g(y) h(y))^t is a polynomial in y^s_bar, up to the factor y
+@pytest.mark.parametrize("field, m, s, t, a, s_bar, digest", [
+    ("3^1^6", 4, 2, 40, 3, 2, "94ec7e3e3a2f8a9405a37e39d62f96ab6bbde39ef49f1f39ce5f7325e779533e"),
+    ("3^1^6", 6, 13, 56, 3, 13, "c531fa9ceb3a58278275f3f0a80ee6e717b11637cb56cf659f3f0b34e330521b"),
+    ("3^1^6", 6, 364, 2, 3, 364, "cd70b1c6fce29b333fabe7d45403507517a9b2a8a37f389739a4f7b4cc8f3944"),
+    ("2^5^2", 2, 341, 3, 2, 341, "7bd95b7e62ec2d0b07a7f0ccaf0923f3f05f0fd76ec3db7f389ddb53f76aee17"),
+])
+def test_invert_symbolic_pinned(capsys, field, m, s, t, a, s_bar, digest):
+    import hashlib
+
+    family = ("--field", field, "--m", str(m), "--s", str(s), "--t", str(t), "--a", str(a))
+    code, out, _ = run(capsys, "check", *family)
+    assert code == 0 and f"s_bar={s_bar} " in out
+    code, out, _ = run(capsys, "invert", *family, "--symbolic")
+    assert code == 0 and out.startswith("is_pp=true inverse_coeffs=0,")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_symbolic_pinned_field(capsys):
+    family = ("--field", "2^5^2", "--m", "2", "--s", "341", "--t", "3")
+    for a in ("2", "7", "1000"):
+        code, out, _ = run(capsys, "verify", *family, "--a", a)
+        assert code == 0
+        assert "symbolic_ok=true" in out and out.endswith("mismatches=0\n")
+
+
 def test_invert_non_pp_exits_1(capsys):
     code, out, _ = run(capsys, "invert", "--field", "5^1^1", "--m", "1", "--s", "2", "--t", "2",
                        "--a", "4", "--at", "3")
@@ -199,6 +226,37 @@ def test_survey_cli(tmp_path, capsys):
     code, _, _ = run(capsys, "survey", "--max-order", "9", "--out", str(out2))
     assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_survey_above_the_cap_exits_2_before_writing(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "x.csv"
+    out.write_text("keep\n")
+    code, stdout, err = run(capsys, "survey", "--max-order", "9", "--oracle-cap", "8", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "field order 9 exceeds oracle cap 8" in err
+    assert out.read_text() == "keep\n"
+    code, _, _ = run(capsys, "survey", "--max-order", "10", "--oracle-cap", "9", "--out", str(out))
+    assert code == 0 and out.read_text().startswith("p,e,n,")
+    out.write_text("keep\n")
+    # the cap is checked on the orders above it, without listing the splits
+    import ppinv.verify
+
+    def no_splits(max_order):
+        raise AssertionError("field splits enumerated")
+
+    monkeypatch.setattr(ppinv.verify, "field_splits", no_splits)
+    code, _, err = run(capsys, "survey", "--max-order", str(2 ** 32), "--oracle-cap", "8", "--out", str(out))
+    assert code == 2 and "field order 9 exceeds oracle cap 8" in err
+    assert out.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("max_order", ["1", "0", "-5"])
+def test_survey_without_a_field_exits_2(tmp_path, capsys, max_order):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(capsys, "survey", "--max-order", max_order, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert f"no field has order <= {max_order}" in err
+    assert not out.exists()
 
 
 def test_survey_unwritable_path(capsys):

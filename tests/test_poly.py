@@ -420,3 +420,118 @@ def test_reduce_matches_fold(spec):
         coeffs[-1] = rng.integers(1, Q)
         ref = _fold(field, np.arange(n, dtype=np.int64), coeffs)
         assert Poly(field, coeffs).reduce() == ref, n
+
+
+# -- powers and products of polynomials in x^e ------------------------------------
+
+def ref_reduce(poly):
+    """Reference fold mod x^Q - x, one term at a time: x^k -> x^(((k - 1) mod (Q - 1)) + 1)."""
+    f = poly.field
+    Q = f.order
+    out = [f.zero] * Q
+    for k, c in poly.terms():
+        j = k if k < Q else (k - 1) % (Q - 1) + 1
+        out[j] = out[j] + c
+    return Poly(f, out)
+
+
+def ref_mul_mod(a, b):
+    return ref_reduce(schoolbook_mul(a, b)) if a and b else Poly.zero(a.field)
+
+
+def ref_pow_mod(a, k):
+    result, base = Poly.one(a.field), ref_reduce(a)
+    while k:
+        if k & 1:
+            result = ref_mul_mod(result, base)
+        base = ref_mul_mod(base, base)
+        k >>= 1
+    return result
+
+
+def poly_in_x_to_the(field, e, rng, ends=True):
+    """Random reduced polynomial in x^e with a nonzero x^e term; ends adds x^0 and x^(Q-1)."""
+    Q = field.order
+    coeffs = np.zeros(Q, dtype=np.int64)
+    coeffs[::e] = rng.integers(0, Q, len(coeffs[::e]))
+    coeffs[e] = rng.integers(1, Q)
+    if ends:
+        coeffs[0], coeffs[Q - 1] = rng.integers(1, Q, 2)
+    return Poly(field, coeffs)
+
+
+DECIMATION_FIELDS = [(2, 1, 4), (3, 1, 4), (5, 1, 2), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("spec", DECIMATION_FIELDS)
+def test_pow_mod_of_polynomials_in_x_to_the_e(spec):
+    from ppinv.poly import _step
+
+    F = Field(*spec)
+    Q = F.order
+    rng = np.random.default_rng(Q + F.p)
+    divisors = [e for e in range(1, Q) if (Q - 1) % e == 0]
+    polys = [Poly.zero(F), Poly.one(F), Poly(F, [Q - 1])]
+    for e in divisors:
+        for ends in (True, False):
+            p = poly_in_x_to_the(F, e, rng, ends)
+            assert _step(Q, p) == e
+            polys.append(p)
+    for p in polys:
+        for k in (0, 1, F.p, Q - 1, Q, 2 ** 40 + 3):
+            assert p.pow_mod(k) == ref_pow_mod(p, k), (p, k)
+
+
+@pytest.mark.parametrize("spec", DECIMATION_FIELDS)
+def test_mul_mod_of_polynomials_in_mixed_powers(spec):
+    F = Field(*spec)
+    Q = F.order
+    rng = np.random.default_rng(Q * F.p)
+    divisors = [e for e in range(1, Q) if (Q - 1) % e == 0]
+    polys = [Poly.zero(F), Poly(F, [rng.integers(1, Q)])]
+    polys += [poly_in_x_to_the(F, e, rng, ends=bool(i % 2)) for i, e in enumerate(divisors)]
+    for a in polys:
+        for b in polys:
+            assert a.mul_mod(b) == ref_mul_mod(a, b), (a, b)
+    # unreduced operands, up to twice Q long, fold the same way
+    long = Poly(F, np.tile(poly_in_x_to_the(F, divisors[1], rng).idx, 2))
+    for b in polys:
+        assert long.mul_mod(b) == ref_mul_mod(long, b)
+
+
+def test_inverse_polynomial_above_the_interpolation_limit(monkeypatch):
+    # each product of the symbolic inverse has operands of at most
+    # (Q - 1)/s_bar + 1 coefficients, since g*h is a polynomial in y^s_bar
+    from ppinv.family import PPParams
+
+    F = Field(2, 1, 12)
+    assert F.order > INTERP_LIMIT
+    lengths = []
+    product = Poly.__mul__
+
+    def spy(self, other):
+        lengths.append(max(len(self.idx), len(other.idx)))
+        return product(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", spy)
+    points = F.all_elements()
+    for m, s in [(12, 3), (12, 45), (6, 9), (12, 819)]:
+        params = PPParams(F, m, s, (2 ** m - 1) // s)
+        a = next(a for a in range(2, F.order) if params.is_permutation(F(a)))
+        lengths.clear()
+        inverse = params.inverse_polynomial(a)
+        assert lengths and max(lengths) <= (F.order - 1) // params.s_bar + 1, (m, s)
+        assert np.array_equal(inverse(points).index, params.inverse_values(a)), (m, s)
+
+
+def test_poly_arguments_are_checked():
+    F9 = Field(3, 1, 2)
+    x = Poly.x(F9)
+    for k in (2.0, 0.0, -1.0):
+        with pytest.raises(TypeError):
+            x.pow_mod(k)
+    assert x.pow_mod(np.int64(3)) == Poly.monomial(F9, 3)
+    with pytest.raises(ValueError):
+        Poly.monomial(F9, -1)
+    with pytest.raises(TypeError):
+        x.mul_mod(Poly.x(Field(3, 2, 1)))  # an equal order is not the same field
