@@ -322,11 +322,6 @@ def linearized_images(field: Field, m: int, a_indices) -> np.ndarray:
     return (x ** field.q ** m - a * x).index
 
 
-def norm_mask(field: Field, d: int, a_indices) -> np.ndarray:
-    """Boolean mask: norm onto the order-q^d subfield differs from 1."""
-    return field.norm(field.element(np.asarray(a_indices)), d) != field.one
-
-
 # ---------------------------------------------------------------------------
 # gcd identity for odd bases
 

@@ -250,11 +250,7 @@ class _OddKernel(_PackedKernel):
       field, and remainder P - q m taken on the low D slots only.
 
     W is chosen so that no slot sum (at most (D-1) D (p-1)^3 before a
-    ``_mod``) spills into its neighbour, also after the multiply by M.  Field
-    indices are converted in by a table of the packed form of every base-p
-    chunk of at most 256 values, and out by pairwise combination of slots,
-    c_{2i} + p c_{2i+1}, in log2(D) whole-word rounds; both are built on first
-    use, so a kernel that only tests irreducibility never builds them.
+    ``_mod``) spills into its neighbour, also after the multiply by M.
     """
 
     def __init__(self, p: int, modulus):
@@ -268,13 +264,9 @@ class _OddKernel(_PackedKernel):
         self.quot = _repeat((1 << W - s) - 1, W, 2 * D - 1)
         self.low = (1 << W * D) - 1
         self.x = 1 << W  # x, for degree >= 2
-        self.negm = self.pack_digits([-c % p for c in modulus])
+        self.negm = sum((-c % p) << W * i for i, c in enumerate(modulus))
         self.p_ones = _repeat(p, W, D)
         self.mu = self._barrett_mu()
-
-    def pack_digits(self, digits) -> int:
-        W = self.width
-        return sum(c << W * i for i, c in enumerate(digits))
 
     def _barrett_mu(self) -> int:
         """x^(2D-2) div m by long division on the packed dividend."""
@@ -314,45 +306,19 @@ class _OddKernel(_PackedKernel):
             v >>= W
         return self._mod(acc)
 
-    @cached_property
-    def _chunks(self) -> tuple[int, int, "list[int] | range"]:
-        """(p^c, W c, packed form of each c-digit chunk) for the largest c with p^c <= 256."""
-        p, D = self.p, self.degree
-        chunk = 1
-        while p ** (chunk + 1) <= 256 and chunk < D:
-            chunk += 1
-        if p > 256:
-            table = range(p)  # one digit per chunk, already its own packed form
-        else:
-            table = [
-                self.pack_digits(v // p ** i % p for i in range(chunk)) for v in range(p ** chunk)
-            ]
-        return p ** chunk, self.width * chunk, table
-
-    @cached_property
-    def _rounds(self) -> list[tuple[int, int, int]]:
-        """Round r adds pairs of slots of width W 2^r, the upper one times p^(2^r)."""
-        rounds = []
-        width, slots, scale = self.width, self.degree, self.p
-        while slots > 1:
-            mask = _repeat((1 << width) - 1, 2 * width, (slots + 1) // 2)
-            rounds.append((width, mask, scale))
-            width, slots, scale = 2 * width, (slots + 1) // 2, scale * scale
-        return rounds
-
     def pack(self, i: int) -> int:
         out = shift = 0
-        base, step, table = self._chunks
         while i:
-            i, r = divmod(i, base)
-            out |= table[r] << shift
-            shift += step
+            i, c = divmod(i, self.p)
+            out |= c << shift
+            shift += self.width
         return out
 
     def unpack(self, v: int) -> int:
-        for width, mask, scale in self._rounds:
-            v = (v & mask) + scale * (v >> width & mask)
-        return v
+        out = 0
+        for shift in range(self.width * (self.degree - 1), -1, -self.width):
+            out = out * self.p + (v >> shift & self.slot)
+        return out
 
 
 def _kernel(p: int, modulus) -> _PackedKernel:
@@ -617,10 +583,6 @@ class Field:
     def elements(self):
         """All field elements in index order."""
         return (FieldElement(self, k) for k in range(self.order))
-
-    def units(self):
-        """All nonzero elements in index order."""
-        return (FieldElement(self, k) for k in range(1, self.order))
 
     def all_elements(self) -> FieldElement:
         """Every field element at once: one element holding the index array 0..Q-1."""

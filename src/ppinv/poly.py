@@ -97,6 +97,8 @@ class Poly:
     def __init__(self, field: Field, coeffs=()):
         self.field = field
         if isinstance(coeffs, np.ndarray) and coeffs.dtype == np.int64:
+            if coeffs.view(np.uint64).max(initial=0) >= field.order:  # negatives wrap to huge
+                raise ValueError(f"element indices out of range [0, {field.order})")
             arr = coeffs
         else:
             arr = np.array([field.element(c).index for c in coeffs], dtype=np.int64)
@@ -265,14 +267,20 @@ class Poly:
 
     def frobenius(self) -> "Poly":
         """p-th power of the polynomial, reduced: coefficients c -> c^p, exponents k -> kp."""
-        return self._frobenius(self.field.order)
+        return self.reduce()._frobenius(self.field.order)
 
     def _frobenius(self, order: int) -> "Poly":
+        """p-th power of a polynomial reduced mod x^order - x, order - 1 dividing Q - 1.
+
+        Exponent k > 0 goes to ((kp - 1) mod (order - 1)) + 1, a permutation of
+        1 .. order - 1 as p is prime to order - 1, so no two terms collide.
+        """
         f = self.field
-        if not self:
-            return Poly(f)
-        kk = np.nonzero(self.idx)[0].astype(np.int64)
-        return _fold(f, kk * f.p, f.tables.frob[self.idx[kk]], order)
+        tgt = np.arange(len(self.idx))
+        tgt[1:] = (tgt[1:] * f.p - 1) % (order - 1) + 1
+        out = np.zeros(tgt.max(initial=-1) + 1, dtype=np.int64)
+        out[tgt] = f.tables.frob[self.idx]
+        return Poly(f, out)
 
     def pow_mod(self, k: int) -> "Poly":
         """k-th power mod x^Q - x: with z = x^e, e = gcd(Q - 1, the exponents
@@ -378,30 +386,21 @@ def _spread(z: Poly, e: int) -> Poly:
     return Poly(z.field, out.ravel())
 
 
-def _fold(field: Field, exps: np.ndarray, coeffs: np.ndarray, order: int | None = None) -> Poly:
-    """Sum of the terms coeffs[i] x^exps[i], folded mod x^order - x (order Q by default).
-
-    Terms that land on the same exponent are added digit-wise.
-    """
-    order = order or field.order
-    T = field.tables
-    tgt = np.where(exps < order, exps, (exps - 1) % (order - 1) + 1)
-    acc = np.zeros((tgt.max(initial=0) + 1, field.degree), dtype=np.int64)
-    np.add.at(acc, tgt, T.dig[coeffs])
-    return Poly(field, (acc % field.p) @ T.pw)
-
-
 def poly_from_terms(field: Field, terms) -> Poly:
-    """Reduced polynomial from (exponent, coefficient) pairs, by _fold.
+    """Reduced polynomial from (exponent, coefficient) pairs.
 
     Exponents >= Q are folded as Python integers first, so arbitrarily large
-    printed exponents stay cheap.  Like every Poly operation this needs the
-    field's tables, so a larger field is refused with ValueError.
+    printed exponents stay cheap; terms that land on the same exponent are
+    added digit-wise.  Like every Poly operation this needs the field's
+    tables, so a larger field is refused with ValueError.
     """
     Q = field.order
     pairs = [(k if k < Q else (k - 1) % (Q - 1) + 1, field.element(c).index) for k, c in terms]
     exps, coeffs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    return _fold(field, exps, coeffs)
+    T = field.tables
+    acc = np.zeros((exps.max(initial=0) + 1, field.degree), dtype=np.int64)
+    np.add.at(acc, exps, T.dig[coeffs])
+    return Poly(field, (acc % field.p) @ T.pw)
 
 
 def family_poly(field: Field, s: int, t: int, a: FieldElement) -> Poly:

@@ -21,7 +21,6 @@ from ppinv.family import (
     linearized_images,
     linearized_inverse,
     linearized_poly,
-    norm_mask,
 )
 from ppinv.gf import Field
 from ppinv.oracle import PermTable, inverse_poly_by_interpolation
@@ -130,7 +129,7 @@ def test_04_linearized_binomial():
         all_a = np.arange(1, field.order, dtype=np.int64)
         for m in range(1, field.n):
             d = math.gcd(m, field.n)
-            mask = norm_mask(field, d, all_a)
+            mask = field.norm(field.element(all_a), d) != field.one
             bij = bijection_mask(linearized_images(field, m, all_a))
             assert (bij == mask).all(), f"norm criterion vs oracle fails on {field}, m={m}"
             for ai in np.nonzero(mask)[0]:
@@ -215,7 +214,7 @@ def test_07_h_sum_identities():
     for spec, m in T2_CASES:
         field = get_field(*spec)
         params = PPParams(field, m, (field.q ** m - 1) // 2, 2)
-        for a in field.units():
+        for a in list(field.elements())[1:]:
             for x in field.elements():
                 h = params.h_value(a, x)
                 assert special.multinomial_sum(field, m, a, x, 2) == x * h * h, (
@@ -225,7 +224,7 @@ def test_07_h_sum_identities():
     for n in (1, 2):
         field = get_field(7, 1, n)
         params = PPParams(field, 1, 2, 3)
-        for a in field.units():
+        for a in list(field.elements())[1:]:
             for x in field.elements():
                 h = params.h_value(a, x)
                 assert special.multinomial_sum(field, 1, a, x, 3) == x * h * h * h, (
@@ -243,7 +242,7 @@ def test_08_t1_coherence_with_linearized():
         all_a = np.arange(1, field.order, dtype=np.int64)
         for m in range(1, field.n):
             params = PPParams(field, m, field.q ** m - 1, 1)
-            mask = norm_mask(field, math.gcd(m, field.n), all_a)
+            mask = field.norm(field.element(all_a), math.gcd(m, field.n)) != field.one
             assert (params.criterion_mask() == mask).all(), f"criteria disagree on {params}"
             for ai in np.nonzero(mask)[0]:
                 a = field(int(ai) + 1)

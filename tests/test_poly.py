@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ppinv.gf import Field, is_prime
-from ppinv.poly import INTERP_LIMIT, Poly, family_poly, _comb_mod_p, _fold, _limb_split
+from ppinv.poly import INTERP_LIMIT, Poly, family_poly, poly_from_terms, _comb_mod_p, _limb_split
 from ppinv.verify import field_splits
 
 
@@ -109,9 +109,15 @@ def test_frobenius_is_pth_power():
     rng = random.Random(13)
     for spec in [(3, 1, 2), (2, 1, 4), (5, 1, 1)]:
         F = Field(*spec)
-        for _ in range(10):
-            p = rand_poly(F, 9, rng)
+        Q = F.order
+        # unreduced inputs too: frobenius() reduces before it maps exponents
+        long = [
+            Poly(F, [rng.randrange(Q) for _ in range(n - 1)] + [rng.randrange(1, Q)])
+            for n in (Q + 1, 2 * Q, 3 * Q + 5)
+        ]
+        for p in [rand_poly(F, 9, rng) for _ in range(10)] + long:
             fr = p.frobenius()
+            assert fr.degree < Q
             assert fr == p.pow_mod(F.p)
             for x in F.elements():
                 assert fr(x) == p(x) ** F.p
@@ -171,7 +177,7 @@ def test_family_poly_pinned():
 def test_family_poly_matches_direct_evaluation():
     for spec, s, t in [((3, 1, 2), 2, 4), ((5, 1, 1), 4, 1), ((2, 2, 1), 1, 3)]:
         F = Field(*spec)
-        for a in F.units():
+        for a in list(F.elements())[1:]:
             p = family_poly(F, s, t, a)
             for x in F.elements():
                 assert p(x) == x * (x ** s - a) ** t
@@ -309,7 +315,7 @@ def test_p_power_digits_make_no_products(monkeypatch):
             image = image.frobenius()
         for m in range(1, F.n):
             # none when the norm onto F_(q^d), d = gcd(m, n), is always 1 (q^d = 2)
-            a = next((a for a in F.units() if linearized_is_permutation(F, m, a)), None)
+            a = next((a for a in list(F.elements())[1:] if linearized_is_permutation(F, m, a)), None)
             if a is not None:
                 inverse = linearized_inverse(F, m, a)
                 assert inverse.compose_mod(linearized_poly(F, m, a)) == Poly.x(F)
@@ -418,7 +424,7 @@ def test_reduce_matches_fold(spec):
     for n in (Q + 1, 2 * Q - 1, 2 * Q, 3 * Q + 5):
         coeffs = rng.integers(0, Q, n)
         coeffs[-1] = rng.integers(1, Q)
-        ref = _fold(field, np.arange(n, dtype=np.int64), coeffs)
+        ref = poly_from_terms(field, enumerate(coeffs.tolist()))
         assert Poly(field, coeffs).reduce() == ref, n
 
 
@@ -535,3 +541,8 @@ def test_poly_arguments_are_checked():
         Poly.monomial(F9, -1)
     with pytest.raises(TypeError):
         x.mul_mod(Poly.x(Field(3, 2, 1)))  # an equal order is not the same field
+    F5 = Field(5)
+    for bad in ([0, -1], [0, 7]):  # an index array is checked like a list
+        for coeffs in (bad, np.array(bad, dtype=np.int64)):
+            with pytest.raises(ValueError):
+                Poly(F5, coeffs)

@@ -21,7 +21,7 @@ from ppinv.verify import factor_pairs, field_splits
 
 
 def pp_values(params):
-    return [a for a in params.field.units() if params.is_permutation(a)]
+    return [a for a in list(params.field.elements())[1:] if params.is_permutation(a)]
 
 
 def test_t2_rejects_bad_inputs():
@@ -52,7 +52,7 @@ def test_t2_agrees_with_general(spec, m):
             assert t2_inverse(field, m, a, x) == params.inverse_value(a, x)
     # and the criterion itself matches branch-wise
     d = math.gcd(m, field.n)
-    for a in field.units():
+    for a in list(field.elements())[1:]:
         n_a = field.norm(a, d)
         if (m // d) % 2 == 0:
             branch = n_a != field.one
@@ -83,7 +83,7 @@ def test_g2_is_square_of_g_on_units():
     params = PPParams(field, 1, 2, 2)
     for a in pp_values(params):
         g = params.closed_inverse(a).g
-        for x in field.units():
+        for x in list(field.elements())[1:]:
             g_val = g(x)
             assert g2_value(field, 1, a, x) == g_val * g_val
 
@@ -168,7 +168,7 @@ def test_cube_root_identities_behind_gf7_prefactor():
         Q = field.order
         one = field.one
         three = field.element(3)
-        for a in field.units():
+        for a in list(field.elements())[1:]:
             w = a ** ((Q - 1) // 3)
             if w == one:
                 continue
@@ -181,7 +181,7 @@ def test_cube_root_identities_behind_gf7_prefactor():
     for a in pp_values(params):
         n_a2 = field.norm(a * a, 1)
         den = field.one - n_a2
-        for x in field.units():
+        for x in list(field.elements())[1:]:
             compact = field.element(4) * (a ** ((Q - 1) // 6)) * (x ** ((Q - 1) // 2)) - field.element(2) * (
                 a.inverse() ** ((Q - 1) // 3)
             )
