@@ -1,10 +1,10 @@
 """The permutation family f(x) = x(x^s - a)^t on F_{q^n}.
 
 Provides the s-th power non-residue criterion, the pointwise closed-form
-inverse, its symbolic (scale, g, h) decomposition, the inverse of the
-linearized binomial x^{q^m} - ax, and the gcd identity used to select
-branches in the t = 2 specialisation.  The powers a^{-(q^{im}-1)/(q^m-1)}
-of h and of the linearized inverse come from one Frobenius chain, and the
+inverse, its symbolic (scale, g, h) decomposition, and the gcd identity used
+to select branches in the t = 2 specialisation.  The linearized binomial
+x^{q^m} - ax is the member s = q^m - 1, t = 1, served by the same code.  The
+powers a^{-(q^{im}-1)/(q^m-1)} of h come from one Frobenius chain, and the
 pointwise h from its sum by doubling.
 """
 
@@ -258,8 +258,10 @@ class ClosedInverse:
         return poly_from_terms(self.field, self.h_terms)
 
     def as_poly(self) -> Poly:
-        """Reduced coefficient vector of y (scale * g(y) * h(y))^t."""
-        powed = self.g.mul_mod(self.h).pow_mod(self.t)
+        """Reduced coefficient vector of y (scale * g(y) * h(y))^t; g h is summed
+        from the u (n/d) products of their terms, without a polynomial product."""
+        terms = [(i + j, c * d) for i, c in self.g_terms for j, d in self.h_terms]
+        powed = poly_from_terms(self.field, terms).pow_mod(self.t)
         return powed.scale(self.scale ** self.t).shift(1).reduce()
 
     def __repr__(self):
@@ -270,56 +272,25 @@ class ClosedInverse:
 
 
 # ---------------------------------------------------------------------------
-# Linearized binomial L(x) = x^{q^m} - ax
+# The linearized binomial L(x) = x^{q^m} - ax: the member s = q^m - 1, t = 1
 
 
-def _linearized_checks(field: Field, m: int, a, allow_m_equal_n: bool):
-    hi = field.n if allow_m_equal_n else field.n - 1
-    if not 1 <= m <= hi:
-        raise ValueError(f"m must lie in [1, {hi}] (allow_m_equal_n={allow_m_equal_n})")
-    a = field.element(a)
-    if not a:
-        raise ValueError("a must be nonzero")
-    return a
-
-
-def linearized_poly(field: Field, m: int, a, allow_m_equal_n: bool = False) -> Poly:
-    """Coefficients of L(x) = x^{q^m} - ax (folded mod x^Q - x if m = n)."""
-    a = _linearized_checks(field, m, a, allow_m_equal_n)
+def linearized_poly(field: Field, m: int, a) -> Poly:
+    """Coefficients of L(x) = x^{q^m} - ax, folded mod x^Q - x."""
+    a = PPParams(field, m, field.q ** m - 1, 1)._unit(a)
     return poly_from_terms(field, [(1, -a), (field.q ** m, field.one)])
 
 
-def linearized_is_permutation(field: Field, m: int, a, allow_m_equal_n: bool = False) -> bool:
+def linearized_is_permutation(field: Field, m: int, a) -> bool:
     """L permutes the field iff the norm of a onto the gcd subfield is not 1."""
-    a = _linearized_checks(field, m, a, allow_m_equal_n)
-    d = math.gcd(m, field.n)
-    return field.norm(a, d) != field.one
+    return PPParams(field, m, field.q ** m - 1, 1).is_permutation(a)
 
 
-def linearized_inverse(field: Field, m: int, a, allow_m_equal_n: bool = False) -> Poly:
-    """Inverse of L(x) = x^{q^m} - ax as a reduced q-polynomial.
-
-    L^{-1}(x) = N/(1-N) * sum_i a^{-(q^{im}-1)/(q^m-1)} x^{q^{(i-1)m}} with
-    N the norm of a onto the subfield of order q^d, d = gcd(m, n).
-    """
-    a = _linearized_checks(field, m, a, allow_m_equal_n)
-    d = math.gcd(m, field.n)
-    n_a = field.norm(a, d)
-    one = field.one
-    if n_a == one:
-        raise NotPermutationError(f"norm of a={a.index} is 1; L is not a permutation")
-    factor = n_a / (one - n_a)
-    q = field.q
-    ainv = a.inverse()
-    coeffs = frobenius_chain(ainv, ainv, q ** m, field.n // d)  # a^{-(q^{im}-1)/(q^m-1)}
-    return poly_from_terms(field, [(q ** (i * m), factor * c) for i, c in enumerate(coeffs)])
-
-
-def linearized_images(field: Field, m: int, a_indices) -> np.ndarray:
-    """Images of every field point under L, one row per a."""
-    a = field.element(np.asarray(a_indices)[:, None])
-    x = field.all_elements()
-    return (x ** field.q ** m - a * x).index
+def linearized_inverse(field: Field, m: int, a) -> Poly:
+    """Inverse of L as a reduced q-polynomial: g = 1, the criterion power is N(a)
+    and the family's inverse is N/(1 - N) sum_i a^{-(q^{im}-1)/(q^m-1)} x^{q^{(i-1)m}}
+    (Wu and Liu, Finite Fields Appl. 22, 2013); at m = n, L is (1 - a) x."""
+    return PPParams(field, m, field.q ** m - 1, 1).inverse_polynomial(a)
 
 
 # ---------------------------------------------------------------------------

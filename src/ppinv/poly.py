@@ -57,7 +57,7 @@ def _comb_mod_p(t: int, k: int, p: int) -> int:
         for i in range(kd):
             num = num * (td - i) % p
             den = den * (i + 1) % p
-        out = out * num * pow(den, p - 2, p) % p if p > 2 else out * num % p
+        out = out * num * pow(den, -1, p) % p
         t //= p
         k //= p
     return out

@@ -14,6 +14,7 @@ so its CSV output is reproducible byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -157,7 +158,16 @@ def cell(value) -> str:
 
 def survey_rows(max_order: int, cap: int | None = None):
     """Deterministic stream of survey rows, as lists of SURVEY_COLUMNS cells,
-    over all splits up to max_order."""
+    over all splits up to max_order; CapExceededError up front for an order
+    above the cap (only those orders are scanned, not the splits)."""
+    limit = oracle_cap(cap)
+    for order in range(max(limit + 1, 2), max_order + 1):  # a prime lies in (n, 2n]
+        if len(prime_factors(order)) == 1:
+            raise CapExceededError(f"field order {order} exceeds oracle cap {limit}")
+    return _rows(max_order, cap)
+
+
+def _rows(max_order: int, cap: int | None):
     for p, e, n in field_splits(max_order):
         field = Field(p, e, n)
         for m in range(1, n + 1):
@@ -176,24 +186,15 @@ def survey_rows(max_order: int, cap: int | None = None):
 def write_survey_csv(out, max_order: int, cap: int | None = None) -> int:
     """Write the survey to a path or text file object; returns the row count.
 
-    The cap is checked on the orders above it before the file is opened, so a
-    refused survey leaves an existing file untouched.
+    The cap is checked before the file is opened, so a refused survey leaves
+    an existing file untouched.
     """
-    limit = oracle_cap(cap)
-    for order in range(max(limit + 1, 2), max_order + 1):  # a prime lies in (n, 2n]
-        if len(prime_factors(order)) == 1:
-            raise CapExceededError(f"field order {order} exceeds oracle cap {limit}")
-    if hasattr(out, "write"):
-        return _write_survey(out, max_order, cap)
-    with open(out, "w", newline="") as handle:
-        return _write_survey(handle, max_order, cap)
-
-
-def _write_survey(handle, max_order: int, cap: int | None) -> int:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(SURVEY_COLUMNS)
-    count = 0
-    for row in survey_rows(max_order, cap):
-        writer.writerow(row)
-        count += 1
+    rows = survey_rows(max_order, cap)
+    with contextlib.nullcontext(out) if hasattr(out, "write") else open(out, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(SURVEY_COLUMNS)
+        count = 0
+        for row in rows:
+            writer.writerow(row)
+            count += 1
     return count

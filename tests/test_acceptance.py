@@ -15,16 +15,10 @@ import numpy as np
 import pytest
 
 from ppinv import special
-from ppinv.family import (
-    PPParams,
-    gcd_halfpower,
-    linearized_images,
-    linearized_inverse,
-    linearized_poly,
-)
+from ppinv.family import PPParams, gcd_halfpower, linearized_inverse, linearized_poly
 from ppinv.gf import Field
 from ppinv.oracle import PermTable, inverse_poly_by_interpolation
-from ppinv.poly import Poly
+from ppinv.poly import Poly, poly_from_terms
 from ppinv.verify import bijection_mask, factor_pairs, write_survey_csv
 
 # the sweep draws q from this list; fields are all F_{q^n} with q^n <= 729
@@ -50,6 +44,13 @@ def sweep_fields(limit: int):
             out.append(get_field(p, e, n))
             n += 1
     return out
+
+
+def linearized_images(field: Field, m: int, a_indices) -> np.ndarray:
+    """Images of every field point under x^{q^m} - ax, one row per a."""
+    a = field.element(np.asarray(a_indices)[:, None])
+    x = field.all_elements()
+    return (x ** field.q ** m - a * x).index
 
 
 def family_space(field: Field):
@@ -235,20 +236,32 @@ def test_07_h_sum_identities():
 
 
 def test_08_t1_coherence_with_linearized():
-    """The general inverse at s = q^m - 1, t = 1 equals the linearized-binomial inverse pointwise."""
+    """At s = q^m - 1, t = 1 the general inverse, pointwise and as linearized_inverse,
+    equals the printed linearized-binomial inverse, transcribed here by direct powers:
+    N/(1 - N) sum_i a^{-(q^{im}-1)/(q^m-1)} x^{q^{(i-1)m}}, N the norm onto F_{q^d}."""
     instances = 0
     for field in sweep_fields(729):
-        ys = np.arange(field.order, dtype=np.int64)
+        q = field.q
+        ys = field.element(np.arange(field.order, dtype=np.int64))
         all_a = np.arange(1, field.order, dtype=np.int64)
         for m in range(1, field.n):
-            params = PPParams(field, m, field.q ** m - 1, 1)
-            mask = field.norm(field.element(all_a), math.gcd(m, field.n)) != field.one
+            d = math.gcd(m, field.n)
+            params = PPParams(field, m, q ** m - 1, 1)
+            mask = field.norm(field.element(all_a), d) != field.one
             assert (params.criterion_mask() == mask).all(), f"criteria disagree on {params}"
             for ai in np.nonzero(mask)[0]:
                 a = field(int(ai) + 1)
-                vals = linearized_inverse(field, m, a)(field.element(ys)).index
-                assert (params.inverse_values(a) == vals).all(), (
-                    f"t=1 inverse disagrees with linearized inverse on {params}, a={a}"
+                n_a = field.norm(a, d)
+                scale = n_a / (field.one - n_a)
+                printed = poly_from_terms(field, [
+                    (q ** ((i - 1) * m), scale * a.inverse() ** ((q ** (i * m) - 1) // (q ** m - 1)))
+                    for i in range(1, field.n // d + 1)
+                ])
+                assert linearized_inverse(field, m, a) == printed, (
+                    f"linearized inverse disagrees with the printed formula on {params}, a={a}"
+                )
+                assert (params.inverse_values(a) == printed(ys).index).all(), (
+                    f"t=1 inverse disagrees with the printed formula on {params}, a={a}"
                 )
                 instances += 1
     print(f"[criterion 8] PASS: t=1 coherence on {instances} instances")

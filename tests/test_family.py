@@ -13,7 +13,6 @@ from ppinv.family import (
     frobenius_chain,
     frobenius_sum,
     gcd_halfpower,
-    linearized_images,
     linearized_inverse,
     linearized_is_permutation,
     linearized_poly,
@@ -23,6 +22,13 @@ from ppinv import gf
 from ppinv.gf import Field
 from ppinv.oracle import PermTable, inverse_poly_by_interpolation, tabulate
 from ppinv.poly import Poly
+
+
+def linearized_images(field, m, a_indices):
+    """Images of every field point under x^{q^m} - ax, one row per a."""
+    a = field.element(np.asarray(a_indices)[:, None])
+    x = field.all_elements()
+    return (x ** field.q ** m - a * x).index
 
 
 def all_params(field, m):
@@ -368,14 +374,27 @@ def test_linearized_pinned_f9():
 def test_linearized_m_range():
     F9 = Field(3, 1, 2)
     a = F9.from_coeffs([1, 1])
-    with pytest.raises(ValueError):
-        linearized_inverse(F9, 2, a)
-    with pytest.raises(ValueError):
-        linearized_is_permutation(F9, 0, a)
-    # extension toggle: m = n degenerates to (1 - a) x
-    inv = linearized_inverse(F9, 2, F9(2), allow_m_equal_n=True)
-    ell = linearized_poly(F9, 2, F9(2), allow_m_equal_n=True)
-    assert ell.compose_mod(inv) == Poly.x(F9)
+    for m in (0, F9.n + 1):
+        for fn in (linearized_poly, linearized_is_permutation, linearized_inverse):
+            with pytest.raises(ValueError, match="m must lie in"):
+                fn(F9, m, a)
+    # m = n: L folds to (1 - a) x, a permutation exactly when a != 1, inverse x / (1 - a)
+    x = Poly.x(F9)
+    for a in list(F9.elements())[1:]:
+        ell = linearized_poly(F9, F9.n, a)
+        assert ell == x.scale(F9.one - a)
+        assert linearized_is_permutation(F9, F9.n, a) == (a != F9.one)
+        if a != F9.one:
+            inv = linearized_inverse(F9, F9.n, a)
+            assert inv == x.scale((F9.one - a).inverse())
+            assert inv.compose_mod(ell) == x
+    with pytest.raises(NotPermutationError):
+        linearized_inverse(F9, F9.n, F9.one)
+    # a prime field has m = n = 1 only
+    F7 = Field(7)
+    a = F7(3)
+    assert linearized_is_permutation(F7, 1, a) and not linearized_is_permutation(F7, 1, F7.one)
+    assert linearized_inverse(F7, 1, a).compose_mod(linearized_poly(F7, 1, a)) == Poly.x(F7)
 
 
 def test_linearized_sweep_small():

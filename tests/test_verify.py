@@ -19,6 +19,7 @@ from ppinv.verify import (
     check_family,
     factor_pairs,
     field_splits,
+    survey_rows,
     write_survey_csv,
 )
 
@@ -244,6 +245,18 @@ def test_survey_deterministic_and_consistent():
             assert r["inverse_ok"] == ""
         if r["special_agrees"]:
             assert r["special_agrees"] == "true"
+
+
+def test_survey_rows_refuses_an_order_above_the_cap_when_called(monkeypatch):
+    # the call itself raises, before any row is made or any split is listed
+    import ppinv.verify
+
+    def no_splits(max_order):
+        raise AssertionError("field splits enumerated")
+
+    monkeypatch.setattr(ppinv.verify, "field_splits", no_splits)
+    with pytest.raises(CapExceededError, match="field order 9 exceeds oracle cap 8"):
+        survey_rows(9, cap=8)
 
 
 def test_survey_empty_range_is_header_only():
