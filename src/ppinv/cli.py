@@ -18,7 +18,6 @@ import sys
 from . import special
 from .family import NotPermutationError, PPParams
 from .gf import Field, FieldElement
-from .oracle import CapExceededError
 from .verify import cell, check_family, write_survey_csv
 
 

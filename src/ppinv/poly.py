@@ -14,6 +14,9 @@ F[z]/(z^(M+1) - z) -> F[x]/(x^Q - x), as x^(e(M+1)) = x^(Q-1+e) = x^e, and it
 keeps reduced representatives reduced (degree <= eM = Q - 1).  So they fold
 idx[::e] by the same rule at M + 1 (k -> ((k - 1) mod M) + 1 for k > M) and
 scatter the result back; e = 1 is the product on all Q coefficients.
+Every operation, interpolation included, reads the field's dense tables and
+is bounded only by their limit (gf.TABLE_LIMIT); exhaustive checks over a
+field are bounded by the oracle cap instead.
 """
 
 from __future__ import annotations
@@ -24,15 +27,6 @@ import operator
 import numpy as np
 
 from .gf import Field, FieldElement
-
-INTERP_LIMIT = 2048
-
-
-def check_interp_limit(field: Field):
-    """Raise ValueError if the field is too large to interpolate on."""
-    if field.order > INTERP_LIMIT:
-        raise ValueError(f"interpolation limited to fields of order <= {INTERP_LIMIT}")
-
 
 def check_images(field: Field, images) -> np.ndarray:
     """A table of Q image indices as int64; TypeError unless its dtype is integer."""
@@ -351,7 +345,6 @@ class Poly:
         times the correlation sum_j a_j b_(j+k) of a_j = F(g^j) g^C(j,2) and
         b_m = g^-C(m,2), taken as Poly products over blocks of j.
         """
-        check_interp_limit(field)
         y_by_x = check_images(field, images)
         T = field.tables
         L = field.order - 1

@@ -26,7 +26,6 @@ from . import special
 from .family import PPParams
 from .gf import Field, is_prime, prime_factors
 from .oracle import CapExceededError, PermTable, check_cap, inverse_poly_by_interpolation, oracle_cap
-from .poly import check_interp_limit
 
 # field points per check_family chunk: one row at the 2^16 oracle cap
 CHUNK = 1 << 16
@@ -95,8 +94,6 @@ def check_family(
     """
     field = params.field
     check_cap(field, cap)
-    if symbolic:
-        check_interp_limit(field)
     a_sel = params.a_indices(a_indices)
     form = special.route_special(field, params.m, params.s, params.t) if with_special else None
     step = max(1, CHUNK // field.order)

@@ -52,11 +52,11 @@ FAMILY_5 = ("--field", "5^1^1", "--m", "1", "--s", "2", "--t", "2")
         (("check", *FAMILY_5, "--a", "x"), 2, "invalid literal"),
         (("check", "--field", "3^1^2", "--m", "1", "--s", "2", "--t", "1", "--a", "1,1,1", "--coeffs"),
          2, "too many coefficients"),
-        (("verify", "--field", "3^1^7", "--m", "1", "--s", "2", "--t", "1", "--a", "2"), 2,
-         "interpolation limited to fields of order <= 2048"),
+        (("verify", "--field", "2^1^17", "--m", "1", "--s", "1", "--t", "1", "--a", "2"), 2,
+         "exceeds oracle cap"),
     ],
     ids=["non-prime-p", "bad-descriptor", "non-integer-component", "a-out-of-range", "a-zero",
-         "non-integer-a", "coeffs-too-long", "verify-above-interp-limit"],
+         "non-integer-a", "coeffs-too-long", "verify-above-oracle-cap"],
 )
 def test_exit_codes_on_malformed_input(capsys, argv, code, needle):
     got, _, err = run(capsys, *argv)
@@ -133,8 +133,10 @@ def test_invert_symbolic_pinned(capsys, field, m, s, t, a, s_bar, digest):
 
 def test_verify_symbolic_pinned_field(capsys):
     family = ("--field", "2^5^2", "--m", "2", "--s", "341", "--t", "3")
-    for a in ("2", "7", "1000"):
-        code, out, _ = run(capsys, "verify", *family, "--a", a)
+    # Q = 3^10 = 59049: interpolation runs on every field the oracle cap admits
+    below_cap = ("--field", "3^1^10", "--m", "1", "--s", "2", "--t", "1")
+    for args, a in [(family, "2"), (family, "7"), (family, "1000"), (below_cap, "34")]:
+        code, out, _ = run(capsys, "verify", *args, "--a", a)
         assert code == 0
         assert "symbolic_ok=true" in out and out.endswith("mismatches=0\n")
 

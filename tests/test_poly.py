@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ppinv.gf import Field, is_prime
-from ppinv.poly import INTERP_LIMIT, Poly, family_poly, poly_from_terms, _comb_mod_p, _limb_split
+from ppinv.poly import Poly, family_poly, poly_from_terms, _comb_mod_p, _limb_split
 from ppinv.verify import field_splits
 
 
@@ -323,11 +323,11 @@ def test_p_power_digits_make_no_products(monkeypatch):
     assert composed >= 4 and calls == []
 
 
-def test_interpolation_memory_is_bounded():
+@pytest.mark.parametrize("n, bound", [(11, 4 * 2 ** 20), (16, 160 * 2 ** 20)], ids=["2^11", "2^16"])
+def test_interpolation_memory_is_bounded(n, bound):
     import tracemalloc
 
-    F = Field(2, 1, 11)
-    assert F.order == INTERP_LIMIT
+    F = Field(2, 1, n)
     F.tables
     images = np.random.default_rng(3).permutation(F.order)
     poly = Poly.interpolate(F, images)  # warm-up
@@ -337,7 +337,7 @@ def test_interpolation_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    assert peak < bound
 
 
 # -- interpolation against the group-sum formula --------------------------------
@@ -384,7 +384,7 @@ def _table(Q, kind, seed):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
-    split=st.sampled_from(field_splits(INTERP_LIMIT)),
+    split=st.sampled_from(field_splits(2048)),
     kind=st.sampled_from(["permutation", "random", "zero", "zero-but-origin", "sparse"]),
     seed=st.integers(0, 2 ** 32 - 1),
 )
@@ -405,7 +405,7 @@ def test_interpolate_matches_group_sum(split, kind, seed):
 @pytest.mark.parametrize("spec", [(3, 1, 6), (2, 5, 2), (2, 1, 11), (43, 1, 2), (2039, 1, 1)])
 def test_interpolant_reproduces_table(spec):
     # Poly.__call__ is table arithmetic only; (2039, 1, 1) has the largest
-    # digits below INTERP_LIMIT, which still fit one limb
+    # digits below 2048, which still fit one limb
     field = Field(*spec)
     L = field.order - 1
     assert _limb_split(field.p, field.degree, L, 2 * L)[0] == 1
@@ -505,13 +505,12 @@ def test_mul_mod_of_polynomials_in_mixed_powers(spec):
         assert long.mul_mod(b) == ref_mul_mod(long, b)
 
 
-def test_inverse_polynomial_above_the_interpolation_limit(monkeypatch):
+def test_inverse_polynomial_products_stay_on_the_decimated_cycle(monkeypatch):
     # each product of the symbolic inverse has operands of at most
     # (Q - 1)/s_bar + 1 coefficients, since g*h is a polynomial in y^s_bar
     from ppinv.family import PPParams
 
     F = Field(2, 1, 12)
-    assert F.order > INTERP_LIMIT
     lengths = []
     product = Poly.__mul__
 

@@ -11,6 +11,7 @@ from ppinv import special
 from ppinv.family import PPParams
 from ppinv.gf import Field
 from ppinv.oracle import CapExceededError, PermTable, inverse_poly_by_interpolation
+from ppinv.poly import _limb_split
 from ppinv.verify import (
     CHUNK,
     SURVEY_COLUMNS,
@@ -220,12 +221,30 @@ def test_a_indices_outside_the_units_are_rejected():
 
 def test_symbolic_check_refuses_large_field_before_work(monkeypatch):
     def reached(*args, **kwargs):
-        raise AssertionError("images built before the interpolation limit was checked")
+        raise AssertionError("images built before the oracle cap was checked")
 
     monkeypatch.setattr(PPParams, "images_for", reached)
     params = PPParams(Field(3, 1, 7), 1, 2, 1)
-    with pytest.raises(ValueError, match="interpolation limited to fields of order <= 2048"):
-        check_family(params, [2], symbolic=True)
+    with pytest.raises(CapExceededError, match="field order 2187 exceeds oracle cap 2000"):
+        check_family(params, [2], symbolic=True, cap=2000)
+
+
+@pytest.mark.parametrize(
+    "spec, m, s",
+    [((2, 1, 12), 12, 45), ((3, 1, 8), 4, 5), ((5, 1, 6), 3, 4), ((2, 1, 16), 4, 3),
+     ((65521, 1, 1), 1, 2), ((251, 1, 2), 1, 10)],
+    ids=["2^12", "3^8", "5^6", "2^16", "65521", "251^2"],
+)
+def test_symbolic_check_up_to_the_oracle_cap(spec, m, s):
+    field = Field(*spec)
+    L = field.order - 1
+    # the largest digits, 65521's, take the two-limb FFT product
+    assert _limb_split(field.p, field.degree, L, 2 * L)[0] == (2 if field.p == 65521 else 1)
+    params = PPParams(field, m, s, (field.q ** m - 1) // s)
+    permuting = np.flatnonzero(params.criterion_mask()) + 1
+    a = int(np.random.default_rng(field.order).choice(permuting))
+    (rec,) = check_family(params, [a], symbolic=True)
+    assert rec.inverse_ok and rec.symbolic_ok, (spec, m, s, a)
 
 
 def test_survey_deterministic_and_consistent():
