@@ -107,6 +107,17 @@ def cmd_check(args) -> int:
 def cmd_invert(args) -> int:
     field, params = _build_params(args)
     a = _parse_element(field, args.a, args.coeffs)
+    form = None
+    if args.special is not None:  # a malformed request exits 2 whatever the verdict on a
+        form = (
+            special.route_special(field, params.m, params.s, params.t)
+            if args.special == "auto"
+            else args.special
+        )
+        if form and form not in special.applicable_forms(field, params.m, params.s, params.t):
+            print(f"error: specialised form {form} not applicable to (m, s, t) = "
+                  f"({params.m}, {params.s}, {params.t}) over GF({field.descriptor()})", file=sys.stderr)
+            return 2
     if not params.is_permutation(a):
         _emit({"is_pp": False}, args.format)
         return 1
@@ -114,23 +125,13 @@ def cmd_invert(args) -> int:
         print("error: nothing to do; pass --at and/or --symbolic", file=sys.stderr)
         return 2
     report: dict = {"is_pp": True}
-    form = None
     if args.special is not None:
-        form = (
-            special.route_special(field, params.m, params.s, params.t)
-            if args.special == "auto"
-            else args.special
-        )
         report["special_form"] = form or "general"
     if args.at is not None:
         y = _parse_element(field, args.at, args.coeffs)
         general = params.inverse_value(a, y)
         if form:
-            try:
-                value = special.evaluate_special(form, field, params.m, a, y)
-            except ValueError as exc:
-                print(f"error: specialised form {form} not applicable: {exc}", file=sys.stderr)
-                return 2
+            value = special.evaluate_special(form, field, params.m, a, y)
             report["special_agrees"] = value == general
         else:
             value = general

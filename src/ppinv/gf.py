@@ -405,12 +405,14 @@ class FieldElement:
         return self.field._digits(self.index)
 
     def _pair(self, other):
-        """The backend for self op other, and both operands in its native form."""
+        """The backend for self op other, and both operands in its native form.
+
+        Equal fields share the modulus and the scalar backend, both fixed by
+        (p, degree), so their elements' native values mix as they are.
+        """
         f = self.field
-        if other.__class__ is not FieldElement or other.field is not f:
-            if not isinstance(other, FieldElement) or other.field != f:
-                raise TypeError("operands belong to different fields")
-            other = FieldElement(f, other.index)  # an equal field may hold another native form
+        if other.__class__ is not FieldElement or (other.field is not f and other.field != f):
+            raise TypeError("operands belong to different fields")
         a, b = self.value, other.value
         if a.__class__ is np.ndarray or b.__class__ is np.ndarray:
             return f.tables, self.index, other.index
@@ -664,34 +666,32 @@ class FieldTables:
         self.order = q
         self.p = p
         self.pw = np.array([p ** i for i in range(field.degree)], dtype=np.int64)
-        group = max(q - 1, 1)
-        ks = np.arange(group, dtype=np.int64)
+        self.group = L = q - 1
+        ks = np.arange(L, dtype=np.int64)
 
-        # exp/log tables from the least generator of the unit group
+        # exp/log from the least generator g of the unit group, with zero
+        # folded in as in Huber's Zech tables: log reads log 0 as 2L, and exp
+        # is g^k for k < 2L, then 2L + 1 zeros, so exp[log u + log v] is u v;
+        # exp[:L] lists the units
         self.generator = self._find_generator()
-        self.exp = self._exp_by_doubling(self.generator)
-        self.log = np.full(q, -1, dtype=np.int64)
-        self.log[self.exp] = ks
+        units = self._exp_by_doubling(self.generator)
+        self.exp = np.concatenate([units, units, np.zeros(2 * L + 1, dtype=np.int64)])
+        self.log = np.full(q, 2 * L, dtype=np.int64)
+        self.log[units] = ks
         self.inv = np.zeros(q, dtype=np.int64)
-        self.inv[self.exp] = self.exp[(group - ks) % group]
+        self.inv[units] = units[(L - ks) % L]
         # Frobenius x -> x^p on indices
         self.frob = np.zeros(q, dtype=np.int64)
-        self.frob[self.exp] = self.exp[ks * p % group]
-        # zero folded in: _zlog reads log 0 as 2L (L = Q - 1) and _zexp is exp
-        # twice, then 2L + 1 zeros, so _zexp[_zlog[u] + _zlog[v]] is u v
-        self._zlog = self.log.copy()
-        self._zlog[0] = 2 * group
-        self._zexp = np.concatenate([self.exp, self.exp, np.zeros(2 * group + 1, dtype=np.int64)])
+        self.frob[units] = units[ks * p % L]
         # -u = u g^((Q-1)/2) for odd Q
-        self.neg = np.arange(q, dtype=np.int64) if p == 2 else self._zexp[self._zlog + group // 2]
+        self.neg = np.arange(q, dtype=np.int64) if p == 2 else self.exp[self.log + L // 2]
 
         self._zech = None
         if p != 2 and field.degree > 1:
             self._build_zech()
 
     def _find_generator(self) -> int:
-        f, K = self.field, self.field._kernel
-        group = f.order - 1
+        f, K, group = self.field, self.field._kernel, self.group
         if group == 1:
             return 1
         checks = [group // r for r in prime_factors(group)]
@@ -702,8 +702,7 @@ class FieldTables:
 
     def _exp_by_doubling(self, g: int) -> np.ndarray:
         f, K = self.field, self.field._kernel
-        p, pw = self.p, self.pw
-        group = max(self.order - 1, 1)
+        p, pw, group = self.p, self.pw, self.group
         exp = np.empty(group, dtype=np.int64)
         exp[0] = 1
         # row i holds the digits of x^i * g^n, so digits(v g^n) = digits(v) @ step
@@ -719,8 +718,8 @@ class FieldTables:
     def _build_zech(self):
         """Zech tables that need no branch on zero operands.
 
-        u + v = _zexp[lu + _zech[lv - lu]] with lu = _zlog[u], lv = _zlog[v].
-        With L = Q - 1, _zlog reads log 0 as 2L, so lv - lu lies in [-2L, 2L];
+        u + v = exp[lu + _zech[lv - lu]] with lu = log[u], lv = log[v].
+        With L = Q - 1, log reads log 0 as 2L, so lv - lu lies in [-2L, 2L];
         negative differences index _zech (length 4L + 1) from its end.
 
         - both nonzero: Z[(lv - lu) mod L], and 2L where 1 + g^k = 0;
@@ -728,13 +727,12 @@ class FieldTables:
         - v = 0: 0, so the exp index is lu;
         - both zero: the difference is 0 and the exp index 2L + Z[0].
 
-        Exp indices in [2L, 3L) land in the zero tail of _zexp.
+        Exp indices in [2L, 3L) land in the zero tail of exp.
         """
-        p, L = self.p, self.order - 1
+        p, L = self.p, self.group
+        units = self.exp[:L]
         # index of 1 + g^k: add one to the constant digit
-        one_plus = np.where(self.exp % p == p - 1, self.exp - (p - 1), self.exp + 1)
-        z = self.log[one_plus]
-        z[z < 0] = 2 * L
+        z = self.log[np.where(units % p == p - 1, units - (p - 1), units + 1)]
         zech = np.zeros(4 * L + 1, dtype=np.int64)
         zech[:L] = z
         zech[-(L - 1):] = z[1:]
@@ -756,8 +754,8 @@ class FieldTables:
     # all methods take and return int64 index arrays (broadcastable)
 
     def _zech_add(self, u, v):
-        lu = self._zlog[u]
-        return self._zexp[lu + self._zech[self._zlog[v] - lu]]
+        lu = self.log[u]
+        return self.exp[lu + self._zech[self.log[v] - lu]]
 
     def add(self, u, v):
         if self.p == 2:
@@ -786,7 +784,7 @@ class FieldTables:
         return stack[0]
 
     def mul(self, u, v):
-        return self._zexp[self._zlog[u] + self._zlog[v]]
+        return self.exp[self.log[u] + self.log[v]]
 
     def pow(self, u, k: int):
         u = np.asarray(u, dtype=np.int64)
@@ -794,9 +792,7 @@ class FieldTables:
             raise ValueError("negative exponent: invert first")
         if k == 0:
             return np.ones_like(u)
-        group = max(self.order - 1, 1)
-        kk = k % group
-        out = self.exp[(self.log[u] * kk) % group]
+        out = self.exp[self.log[u] * (k % self.group) % self.group]
         return np.where(u == 0, 0, out)
 
     def inv_of(self, u):
@@ -816,7 +812,7 @@ class _ListKernel:
     """
 
     def __init__(self, tables: FieldTables):
-        p, self.tables, self.group = tables.p, tables, max(tables.order - 1, 1)
+        p, self.tables, self.group = tables.p, tables, tables.group
         self.half = self.group // 2
         if p == 2:
             self.add, self.neg = operator.xor, operator.pos
@@ -824,8 +820,10 @@ class _ListKernel:
             self.add = lambda i, j: (i + j) % p
 
     pack = unpack = staticmethod(operator.pos)  # +i is i
-    zlog = cached_property(lambda self: self.tables._zlog.tolist())
-    zexp = cached_property(lambda self: 2 * self.tables.exp.tolist() + [0] * (2 * self.group + 1))
+    zlog = cached_property(lambda self: self.tables.log.tolist())
+    # the units listed twice, not tables.exp.tolist(): each unit is then one
+    # shared int object, which keeps the lists 2 MiB smaller at 2^16
+    zexp = cached_property(lambda self: 2 * self.tables.exp[:self.group].tolist() + [0] * (2 * self.group + 1))
     zech = cached_property(lambda self: self.tables._zech.tolist())
 
     def add(self, i: int, j: int) -> int:

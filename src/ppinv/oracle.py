@@ -42,6 +42,14 @@ def check_cap(field: Field, cap: int | None):
         raise CapExceededError(f"field order {field.order} exceeds oracle cap {limit}")
 
 
+def bijection_mask(images: np.ndarray) -> np.ndarray:
+    """Row-wise bijectivity of an (Na, Q) image array, by occupancy counts."""
+    na, Q = images.shape
+    flat = images + Q * np.arange(na, dtype=np.int64)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=na * Q).reshape(na, Q)
+    return (counts == 1).all(axis=1)
+
+
 class PermTable:
     """Full evaluation table of a map on a field, in enumeration order."""
 
@@ -62,9 +70,8 @@ class PermTable:
         return len(self.images)
 
     def is_bijection(self) -> bool:
-        """Occupancy count in one pass: every index hit exactly once."""
-        counts = np.bincount(self.images, minlength=self.field.order)
-        return bool((counts == 1).all())
+        """Every index hit exactly once, by the same count as bijection_mask."""
+        return bool(bijection_mask(self.images[None])[0])
 
     def inverted(self) -> "PermTable":
         if not self.is_bijection():

@@ -7,13 +7,13 @@ products.  Reduction mod x^Q - x (Q the field order) uses the exponent rule
 k -> ((k - 1) mod (Q - 1)) + 1 for k >= Q, which never sends a positive
 exponent to 0 and therefore preserves the induced function on the whole
 field, including at 0.  Two reduced polynomials are equal iff they induce
-the same function (Lidl & Niederreiter, Finite Fields, ch. 7).  Powers and
-products run on polynomials in z = x^e, e the gcd of Q - 1 and every nonzero
-exponent: with M = (Q - 1)/e, z -> x^e is a ring homomorphism
+the same function (Lidl & Niederreiter, Finite Fields, ch. 7).  Powers run
+on polynomials in z = x^e, e the gcd of Q - 1 and every nonzero exponent
+of the base: with M = (Q - 1)/e, z -> x^e is a ring homomorphism
 F[z]/(z^(M+1) - z) -> F[x]/(x^Q - x), as x^(e(M+1)) = x^(Q-1+e) = x^e, and it
-keeps reduced representatives reduced (degree <= eM = Q - 1).  So they fold
-idx[::e] by the same rule at M + 1 (k -> ((k - 1) mod M) + 1 for k > M) and
-scatter the result back; e = 1 is the product on all Q coefficients.
+keeps reduced representatives reduced (degree <= eM = Q - 1).  So pow_mod
+folds idx[::e] by the same rule at M + 1 (k -> ((k - 1) mod M) + 1 for k > M)
+and scatters the result back; e = 1 is the power on all Q coefficients.
 Every operation, interpolation included, reads the field's dense tables and
 is bounded only by their limit (gf.TABLE_LIMIT); exhaustive checks over a
 field are bounded by the oracle cap instead.
@@ -252,12 +252,8 @@ class Poly:
         return Poly(self.field, out)
 
     def mul_mod(self, other: "Poly") -> "Poly":
-        """Product mod x^Q - x: with z = x^e, e = gcd(Q - 1, both operands'
-        exponents), the product in z folded mod z^(M+1) - z, M = (Q - 1)/e."""
-        Q = self.field.order
-        e = _step(Q, self, other)
-        z = Poly(self.field, self.idx[::e]) * Poly(other.field, other.idx[::e])
-        return _spread(z._reduce((Q - 1) // e + 1), e)
+        """Product mod x^Q - x."""
+        return (self * other).reduce()
 
     def frobenius(self) -> "Poly":
         """p-th power of the polynomial, reduced: coefficients c -> c^p, exponents k -> kp."""
@@ -350,7 +346,7 @@ class Poly:
         L = field.order - 1
         m = np.arange(2 * L, dtype=np.int64)
         chirp = T.exp[m * (m - 1) // 2 % L]  # g^C(m, 2)
-        a = T.mul(y_by_x[T.exp], chirp[:L])
+        a = T.mul(y_by_x[T.exp[:L]], chirp[:L])
         b = T.inv[chirp]
         # a block of n <= step terms, reversed, times n + L - 1 terms of b has
         # 2n + L - 2 terms, within the FFT length 2^k >= 2L; its coefficient
@@ -367,9 +363,9 @@ class Poly:
         return cls(field, np.concatenate([y_by_x[:1], T.neg[sums]]))
 
 
-def _step(order: int, *polys: Poly) -> int:
-    """The gcd of order - 1 and every nonzero exponent of the polys."""
-    return int(np.gcd.reduce(np.concatenate([[order - 1], *(np.flatnonzero(p.idx) for p in polys)])))
+def _step(order: int, poly: Poly) -> int:
+    """The gcd of order - 1 and every nonzero exponent of poly."""
+    return int(np.gcd.reduce(np.append(np.flatnonzero(poly.idx), order - 1)))
 
 
 def _spread(z: Poly, e: int) -> Poly:

@@ -154,17 +154,19 @@ def gf7_s2t3_inverse(field: Field, a, x) -> FieldElement:
 # routing for the CLI and the survey
 
 
-def route_special(field: Field, m: int, s: int, t: int) -> str | None:
-    """Name of the applicable specialised form, or None for the general path."""
-    if field.p == 5 and field.e == 1 and (m, s, t) == (1, 2, 2):
-        return "cor3"
-    if field.p == 7 and field.e == 1 and (m, s, t) == (1, 3, 2):
-        return "cor4"
-    if field.p == 7 and field.e == 1 and (m, s, t) == (1, 2, 3):
-        return "cor5"
+def applicable_forms(field: Field, m: int, s: int, t: int) -> list[str]:
+    """Names of the specialised forms derived for these parameters, most specific first."""
+    corollaries = {(5, 2, 2): "cor3", (7, 3, 2): "cor4", (7, 2, 3): "cor5"}  # on GF(p^n), m = 1
+    forms = [corollaries[field.p, s, t]] if field.e == m == 1 and (field.p, s, t) in corollaries else []
     if t == 2 and field.p != 2 and 1 <= m <= field.n - 1:
-        return "thm31"
-    return None
+        forms.append("thm31")
+    return forms
+
+
+def route_special(field: Field, m: int, s: int, t: int) -> str | None:
+    """Name of the most specific applicable form, or None for the general path."""
+    forms = applicable_forms(field, m, s, t)
+    return forms[0] if forms else None
 
 
 def evaluate_special(name: str, field: Field, m: int, a, x) -> FieldElement:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ import numpy as np
 from . import special
 from .family import PPParams
 from .gf import Field, is_prime, prime_factors
-from .oracle import CapExceededError, PermTable, check_cap, inverse_poly_by_interpolation, oracle_cap
+from .oracle import CapExceededError, PermTable, bijection_mask, check_cap, inverse_poly_by_interpolation, oracle_cap
 
 # field points per check_family chunk: one row at the 2^16 oracle cap
 CHUNK = 1 << 16
@@ -47,14 +46,6 @@ def field_splits(max_order: int) -> list[tuple[int, int, int]]:
             out += [(p ** k, p, e, k // e) for e in range(1, k + 1) if k % e == 0]
             k += 1
     return [(p, e, n) for _, p, e, n in sorted(out)]
-
-
-def bijection_mask(images: np.ndarray) -> np.ndarray:
-    """Row-wise bijectivity of an (Na, Q) image array, by occupancy counts."""
-    na, Q = images.shape
-    flat = images + Q * np.arange(na, dtype=np.int64)[:, None]
-    counts = np.bincount(flat.ravel(), minlength=na * Q).reshape(na, Q)
-    return (counts == 1).all(axis=1)
 
 
 @dataclass

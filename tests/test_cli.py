@@ -54,9 +54,17 @@ FAMILY_5 = ("--field", "5^1^1", "--m", "1", "--s", "2", "--t", "2")
          2, "too many coefficients"),
         (("verify", "--field", "2^1^17", "--m", "1", "--s", "1", "--t", "1", "--a", "2"), 2,
          "exceeds oracle cap"),
+        # a form derived for other (p, m, s, t), with a permuting a (3) and a square (2)
+        (("invert", "--field", "7^1^1", "--m", "1", "--s", "2", "--t", "3", "--a", "3", "--at", "6",
+          "--special", "cor4"), 2, "not applicable"),
+        (("invert", "--field", "7^1^1", "--m", "1", "--s", "2", "--t", "3", "--a", "2", "--at", "6",
+          "--special", "cor4"), 2, "not applicable"),
+        (("invert", "--field", "5^1^2", "--m", "2", "--s", "3", "--t", "8", "--a", "6", "--at", "6",
+          "--special", "cor3"), 2, "not applicable"),
     ],
     ids=["non-prime-p", "bad-descriptor", "non-integer-component", "a-out-of-range", "a-zero",
-         "non-integer-a", "coeffs-too-long", "verify-above-oracle-cap"],
+         "non-integer-a", "coeffs-too-long", "verify-above-oracle-cap", "special-cor4-on-s2t3",
+         "special-cor4-on-s2t3-square-a", "special-cor3-on-m2"],
 )
 def test_exit_codes_on_malformed_input(capsys, argv, code, needle):
     got, _, err = run(capsys, *argv)

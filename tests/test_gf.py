@@ -348,14 +348,15 @@ def test_tables_equal_reference(spec):
     gen, exp = _reference_powers(F)  # packed-kernel products, not the tables under test
     T = F.tables
     Q, p, group = F.order, F.p, len(exp)
-    log, inv, frob = [-1] * Q, [0] * Q, [0] * Q
+    log, inv, frob = [2 * group] * Q, [0] * Q, [0] * Q  # log 0 folded in as 2 (Q - 1)
     for k, x in enumerate(exp):
         log[x] = k
         inv[x] = exp[-k % group]
         frob[x] = exp[k * p % group]
     dig = np.arange(Q, dtype=np.int64)[:, None] // T.pw % p
     assert T.generator == gen
-    assert T.exp.tolist() == exp
+    assert T.group == group
+    assert T.exp.tolist() == exp + exp + [0] * (2 * group + 1)
     assert T.log.tolist() == log
     assert T.inv.tolist() == inv
     assert T.frob.tolist() == frob
@@ -725,11 +726,12 @@ def test_native_values_are_canonical(spec):
 
 
 def test_equal_fields_with_other_native_forms_mix():
-    # an equal Field whose scalars run on its packed kernel holds packed values
-    field, bare = Field(3, 1, 5), Field(3, 1, 5)
-    bare._scalar = bare._kernel
+    # equal Fields built apart: above SCALAR_TABLE_LIMIT each holds packed
+    # values from its own kernel, and the values mix as they are
+    field, bare = Field(3, 1, 11), Field(3, 1, 11)
     x, y = field(100), bare(200)
-    assert x.value == 100 and y.value != 200
+    assert field._scalar is not bare._scalar
+    assert x.value != 100 and y.value != 200 and x.value == bare(100).value
     assert (x * y).index == (bare(100) * y).index == (field(100) * field(200)).index
     assert (y + x).index == (field(200) + x).index
     assert x == bare(100) and bare(100) == x and hash(x) == hash(bare(100))

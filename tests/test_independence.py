@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ppinv
+from ppinv import oracle, verify
 
 IMPORTS_FROM_FAMILY = {"poly": set(), "oracle": set(), "special": {"NotPermutationError"}}
 
@@ -33,3 +34,8 @@ def family_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", sorted(IMPORTS_FROM_FAMILY))
 def test_oracle_modules_do_not_import_family(module):
     assert family_imports(module) == IMPORTS_FROM_FAMILY[module]
+
+
+def test_acceptance_oracle_lives_in_a_guarded_module():
+    # the criterion-versus-bijectivity verdict counts images in oracle.py
+    assert verify.bijection_mask is oracle.bijection_mask

@@ -351,7 +351,7 @@ def group_sum_interpolate(field, images):
     T = field.tables
     L = field.order - 1
     y_by_x = np.asarray(images, dtype=np.int64)
-    y = y_by_x[T.exp]  # F(g^j), j = 0..L-1
+    y = y_by_x[T.exp[:L]]  # F(g^j), j = 0..L-1
     j = np.flatnonzero(y)
     logs = T.log[y[j]]
     k = np.arange(1, field.order, dtype=np.int64)
@@ -538,8 +538,11 @@ def test_poly_arguments_are_checked():
     assert x.pow_mod(np.int64(3)) == Poly.monomial(F9, 3)
     with pytest.raises(ValueError):
         Poly.monomial(F9, -1)
-    with pytest.raises(TypeError):
-        x.mul_mod(Poly.x(Field(3, 2, 1)))  # an equal order is not the same field
+    other = Poly.x(Field(3, 2, 1))  # an equal order is not the same field
+    mixed = (x.mul_mod, x.__add__, x.compose_mod, lambda p: p.compose_mod(x), lambda p: x(p.field.one))
+    for call in mixed:
+        with pytest.raises(TypeError):
+            call(other)
     F5 = Field(5)
     for bad in ([0, -1], [0, 7]):  # an index array is checked like a list
         for coeffs in (bad, np.array(bad, dtype=np.int64)):

@@ -8,6 +8,7 @@ import pytest
 from ppinv.family import NotPermutationError, PPParams, gcd_halfpower
 from ppinv.gf import Field
 from ppinv.special import (
+    applicable_forms,
     evaluate_special,
     g2_value,
     gf5_s2t2_inverse,
@@ -34,6 +35,14 @@ def test_t2_rejects_bad_inputs():
     # criterion failure: a = 1 has norm 1
     with pytest.raises(NotPermutationError):
         t2_inverse(F25, 1, F25(1), F25(3))
+    with pytest.raises(ValueError, match="nonzero"):
+        t2_inverse(F25, 1, F25(0), F25(3))
+    # even m/d: F_27 with (m, s, t) = (2, 4, 2), where a = 1 has norm 1
+    F27 = Field(3, 1, 3)
+    with pytest.raises(NotPermutationError, match="norm of a is 1"):
+        t2_inverse(F27, 2, F27(1), F27(2))
+    with pytest.raises(ValueError, match="unknown specialised form"):
+        evaluate_special("cor6", F25, 1, F25(2), F25(3))
 
 
 @pytest.mark.parametrize(
@@ -200,6 +209,11 @@ def test_routing():
     assert route_special(Field(5, 1, 2), 2, 12, 2) is None   # t=2 but m = n
     assert route_special(Field(5, 1, 1), 1, 4, 1) is None    # t = 1
     assert route_special(Field(5, 2, 1), 1, 2, 2) is None    # e != 1 blocks cor3; m=n blocks thm31
+    # every applicable form, most specific first; route_special takes the first
+    assert applicable_forms(Field(5, 1, 3), 1, 2, 2) == ["cor3", "thm31"]
+    assert applicable_forms(Field(7, 1, 2), 1, 3, 2) == ["cor4", "thm31"]
+    assert applicable_forms(Field(7, 1, 1), 1, 2, 3) == ["cor5"]
+    assert applicable_forms(Field(5, 1, 2), 2, 3, 8) == []
 
 
 def test_special_forms_on_arrays_match_scalars():

@@ -62,6 +62,17 @@ def test_bijection_mask():
     assert list(bijection_mask(rows)) == [True, False, True]
 
 
+@pytest.mark.parametrize("verdicts, mismatch", [
+    (dict(criterion=True, bijective=True, inverse_ok=True), False),
+    (dict(criterion=False, bijective=False), False),
+    (dict(criterion=True, bijective=False), True),
+    (dict(criterion=False, bijective=True), True),
+    (dict(criterion=True, bijective=True, inverse_ok=True, symbolic_ok=False), True),
+])
+def test_family_check_mismatch(verdicts, mismatch):
+    assert FamilyCheck(a=1, **verdicts).mismatch is mismatch
+
+
 def test_check_family_f5():
     field = Field(5)
     params = PPParams(field, 1, 2, 2)
