@@ -94,7 +94,7 @@ def inverse_poly_by_interpolation(table: PermTable) -> Poly:
     """Reduced polynomial inducing the inverse permutation.
 
     Interpolated from the inverted table by Poly.interpolate: the group-sum
-    coefficient formula, evaluated as a chirp correlation of Poly products.
+    coefficient formula, evaluated as a chirp correlation of one FFT convolution.
     """
     return Poly.interpolate(table.field, table.inverted().images)
 

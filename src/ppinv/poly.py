@@ -2,10 +2,10 @@
 
 Coefficients are stored little-endian as an int64 array of element indices.
 A product is one exact float64 FFT convolution of the operands' base-p digit
-matrices (Poly.__mul__); interpolation is a chirp correlation of a few such
-products.  Reduction mod x^Q - x (Q the field order) uses the exponent rule
-k -> ((k - 1) mod (Q - 1)) + 1 for k >= Q, which never sends a positive
-exponent to 0 and therefore preserves the induced function on the whole
+matrices (_convolve); interpolation is a chirp correlation read from one
+cyclic such convolution.  Reduction mod x^Q - x (Q the field order) uses the
+exponent rule k -> ((k - 1) mod (Q - 1)) + 1 for k >= Q, which never sends a
+positive exponent to 0 and so preserves the induced function on the whole
 field, including at 0.  Two reduced polynomials are equal iff they induce
 the same function (Lidl & Niederreiter, Finite Fields, ch. 7).  Powers run
 on polynomials in z = x^e, e the gcd of Q - 1 and every nonzero exponent
@@ -69,6 +69,8 @@ def _limb_split(p: int, digits: int, la: int, lb: int) -> tuple[int, int]:
     (one more factor (1 + e) each), and |x| <= top sqrt(len) for limbs of at
     most top.  The bound must stay below 1/4, half of what rounding to the
     nearest integer needs, as margin for numpy's real radix-4 transforms.
+    Percival's bound is for cyclic convolution; n, from la + lb - 2, is log2 of
+    the full product's length and over-estimates it for any shorter cyclic one.
     """
     n = (la + lb - 2).bit_length()
     width = (p - 1).bit_length()
@@ -81,6 +83,45 @@ def _limb_split(p: int, digits: int, la: int, lb: int) -> tuple[int, int]:
         if terms * top * top * math.sqrt(la * lb) * grow < 0.25:
             return r, bits
     raise ValueError("polynomials too long for an exact float64 product")
+
+
+def _convolve(field: Field, a_idx: np.ndarray, b_idx: np.ndarray, size: int) -> np.ndarray:
+    """The first min(size, la + lb - 1) element indices of the length-size cyclic
+    convolution of index vectors of lengths la and lb (size a power of two).
+
+    Each operand's base-p digit matrix is transformed once along the coefficient
+    axis.  Digit u of one operand times digit v of the other lands on digit u + v,
+    so the digit axis is convolved as at most D broadcast multiply-adds of spectra;
+    one inverse transform and np.rint then give the exact integer digit sums, since
+    _limb_split keeps the rounding error below 1/4 (for large p by splitting digits
+    into limbs, which adds a second digit-like axis).  Digits u + v >= D fold back
+    through x^(u+v) mod the field modulus.
+    """
+    T, D, p = field.tables, field.degree, field.p
+    la, lb = len(a_idx), len(b_idx)
+    r, bits = _limb_split(p, D, la, lb)
+    shifts = bits * np.arange(r)[:, None]
+
+    def spectrum(idx):
+        # axes: digit u, limb i, coefficient; digits above the highest
+        # nonzero one are dropped, all but digit 0 for an all-zero operand
+        limbs = T.dig[idx].T[:, None] >> shifts & (1 << bits) - 1
+        return np.fft.rfft(limbs[: np.flatnonzero(limbs.any(axis=(1, 2))).max(initial=0) + 1], n=size)
+
+    A, B = spectrum(a_idx), spectrum(b_idx)
+    C = np.zeros((len(A) + len(B) - 1, 2 * r - 1, size // 2 + 1), dtype=np.complex128)
+    for u in range(len(A)):
+        for i in range(r):
+            C[u:u + len(B), i:i + r] += A[u, i] * B
+    C = np.rint(np.fft.irfft(C, n=size)[..., : la + lb - 1])
+    C -= p * np.rint(C * (1 / p))  # now |C| <= p/2 + 1, congruent mod p
+    # limb sum l of digit w weighs 2^(bits l) x^w, and x^w for w >= D folds
+    # back below the field modulus; in float64 this is exact, each sum
+    # having (2D - 1)(2r - 1) terms below p (p/2 + 1)
+    weights = [pow(2, bits * k, p) for k in range(2 * r - 1)]
+    fold = np.multiply.outer(T.xpow[: len(C)].T, weights).reshape(D, -1) % p
+    C = (fold @ C.reshape(fold.shape[1], -1)).astype(np.int64) % p
+    return T.pw @ C
 
 
 class Poly:
@@ -193,49 +234,13 @@ class Poly:
         return Poly(self.field, np.concatenate([np.zeros(k, dtype=np.int64), self.idx]))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        """Plain (unreduced) product by one float64 FFT convolution.
-
-        Each operand's base-p digit matrix is transformed once along the
-        coefficient axis.  Digit u of one operand times digit v of the other
-        lands on digit u + v, so the digit axis is convolved as at most D
-        broadcast multiply-adds of spectra; one inverse transform and np.rint
-        then give the exact integer digit sums, since _limb_split keeps the
-        rounding error below 1/4 (for large p by splitting digits into limbs,
-        which adds a second digit-like axis).  Digits u + v >= D fold back
-        through x^(u+v) mod the field modulus.
-        """
+        """Plain (unreduced) product: one _convolve long enough not to wrap."""
         if other.field != self.field:
             raise TypeError("mixed fields")
         if not self or not other:
             return Poly(self.field)
-        f = self.field
-        T = f.tables
-        D, p = f.degree, f.p
-        la, lb = len(self.idx), len(other.idx)
-        r, bits = _limb_split(p, D, la, lb)
-        size = 1 << (la + lb - 2).bit_length()
-        shifts = bits * np.arange(r)[:, None]
-
-        def spectrum(idx):
-            # axes: digit u, limb i, coefficient; digits above the highest
-            # nonzero one are dropped (a nonzero poly has one)
-            limbs = T.dig[idx].T[:, None] >> shifts & (1 << bits) - 1
-            return np.fft.rfft(limbs[: np.flatnonzero(limbs.any(axis=(1, 2)))[-1] + 1], n=size)
-
-        A, B = spectrum(self.idx), spectrum(other.idx)
-        C = np.zeros((len(A) + len(B) - 1, 2 * r - 1, size // 2 + 1), dtype=np.complex128)
-        for u in range(len(A)):
-            for i in range(r):
-                C[u:u + len(B), i:i + r] += A[u, i] * B
-        C = np.rint(np.fft.irfft(C, n=size)[..., : la + lb - 1])
-        C -= p * np.rint(C * (1 / p))  # now |C| <= p/2 + 1, congruent mod p
-        # limb sum l of digit w weighs 2^(bits l) x^w, and x^w for w >= D folds
-        # back below the field modulus; in float64 this is exact, each sum
-        # having (2D - 1)(2r - 1) terms below p (p/2 + 1)
-        weights = [pow(2, bits * k, p) for k in range(2 * r - 1)]
-        fold = np.multiply.outer(T.xpow[: len(C)].T, weights).reshape(D, -1) % p
-        C = (fold @ C.reshape(fold.shape[1], -1)).astype(np.int64) % p
-        return Poly(f, T.pw @ C)
+        size = 1 << (len(self.idx) + len(other.idx) - 2).bit_length()
+        return Poly(self.field, _convolve(self.field, self.idx, other.idx, size))
 
     def reduce(self) -> "Poly":
         """Canonical representative of the induced function (degree < Q)."""
@@ -339,7 +344,8 @@ class Poly:
         0 < k < L and c_L = -S_L - F(0), S_k = sum_(j<L) F(g^j) g^(-jk).  As
         -jk = C(j,2) + C(k,2) - C(j+k,2) (Bluestein's chirp), S_k is g^C(k,2)
         times the correlation sum_j a_j b_(j+k) of a_j = F(g^j) g^C(j,2) and
-        b_m = g^-C(m,2), taken as Poly products over blocks of j.
+        b_m = g^-C(m,2), taken as one cyclic FFT product (a middle product:
+        Hanrot, Quercia and Zimmermann, AAECC 14 (2004)).
         """
         y_by_x = check_images(field, images)
         T = field.tables
@@ -348,16 +354,10 @@ class Poly:
         chirp = T.exp[m * (m - 1) // 2 % L]  # g^C(m, 2)
         a = T.mul(y_by_x[T.exp[:L]], chirp[:L])
         b = T.inv[chirp]
-        # a block of n <= step terms, reversed, times n + L - 1 terms of b has
-        # 2n + L - 2 terms, within the FFT length 2^k >= 2L; its coefficient
-        # n - 2 + k is the block's share of sum_j a_j b_(j+k), k = 1..L
-        step = ((1 << (2 * L - 1).bit_length()) - L + 2) // 2
-        sums = np.zeros(L, dtype=np.int64)
-        for lo in range(0, L, step):
-            block = a[lo:lo + step]
-            n = len(block)
-            part = (cls(field, block[::-1]) * cls(field, b[lo + 1:lo + n + L])).idx[n - 1:n - 1 + L]
-            sums[:len(part)] = T.add(sums[:len(part)], part)
+        # a reversed times b[1:2L] has coefficient L - 2 + k = sum_j a_j b_(j+k); the
+        # 3L - 2 coefficients, cyclic at length N >= 2L - 1, wrap only below L - 1
+        N = 1 << (2 * L - 2).bit_length()
+        sums = _convolve(field, a[::-1], b[1:2 * L], N)[L - 1:2 * L - 1]
         sums = T.mul(sums, chirp[1:L + 1])
         sums[-1] = T.add(sums[-1], y_by_x[0])  # the k = L sum also takes F(0)
         return cls(field, np.concatenate([y_by_x[:1], T.neg[sums]]))

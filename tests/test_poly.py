@@ -396,10 +396,37 @@ def _table(Q, kind, seed):
 @example(split=(3, 1, 2), kind="zero", seed=5)
 @example(split=(2, 1, 11), kind="random", seed=6)
 @example(split=(2039, 1, 1), kind="permutation", seed=7)
+@example(split=(2, 1, 10), kind="random", seed=8)  # L = 1023: N = 2L + 2
+@example(split=(257, 1, 1), kind="permutation", seed=9)  # L = 256: N = 2L, the wrap ends at L - 3
+@example(split=(17, 1, 1), kind="random", seed=10)
+@example(split=(2, 5, 2), kind="zero", seed=11)  # an all-zero correlation operand
 def test_interpolate_matches_group_sum(split, kind, seed):
     field = Field(*split)
     table = _table(field.order, kind, seed)
     assert Poly.interpolate(field, table) == group_sum_interpolate(field, table)
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 1), (3, 1, 6), (2, 5, 2), (2039, 1, 1)])
+def test_interpolation_is_one_convolution(monkeypatch, spec):
+    import ppinv.poly
+
+    calls = []
+    convolve, product = ppinv.poly._convolve, Poly.__mul__
+
+    def spy_convolve(field, a_idx, b_idx, size):
+        calls.append("convolve")
+        return convolve(field, a_idx, b_idx, size)
+
+    def spy_mul(self, other):
+        calls.append("mul")
+        return product(self, other)
+
+    monkeypatch.setattr(ppinv.poly, "_convolve", spy_convolve)
+    monkeypatch.setattr(Poly, "__mul__", spy_mul)
+    field = Field(*spec)
+    table = np.random.default_rng(field.order).integers(0, field.order, field.order)
+    assert Poly.interpolate(field, table) == group_sum_interpolate(field, table)
+    assert calls == ["convolve"]
 
 
 @pytest.mark.parametrize("spec", [(3, 1, 6), (2, 5, 2), (2, 1, 11), (43, 1, 2), (2039, 1, 1)])
