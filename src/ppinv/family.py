@@ -258,11 +258,32 @@ class ClosedInverse:
         return poly_from_terms(self.field, self.h_terms)
 
     def as_poly(self) -> Poly:
-        """Reduced coefficient vector of y (scale * g(y) * h(y))^t; g h is summed
-        from the u (n/d) products of their terms, without a polynomial product."""
-        terms = [(i + j, c * d) for i, c in self.g_terms for j, d in self.h_terms]
-        powed = poly_from_terms(self.field, terms).pow_mod(self.t)
-        return powed.scale(self.scale ** self.t).shift(1).reduce()
+        """Reduced coefficient vector of y (scale * g(y) * h(y))^t.
+
+        Every exponent of g h is a multiple of e = gcd(Q - 1, the exponents),
+        so the inverse is y W(y^e) with W of degree <= M = (Q - 1)/e, fixed by
+        its values at 0 and on the cycle mu_M (Poly.from_cycle): the t-th
+        powers of scale g h at y = g^j, j < M, g the table generator.  There h
+        is summed from its terms and g = sum_l N^(u-l) w^(l-1) =
+        (N^u - w^u)/(N - w), with N = N(a) the ratio of its consecutive
+        coefficients and w = y^(nu s) = N(y^s), never N as a permutes.
+        """
+        f, (_, g0) = self.field, self.g_terms[0]  # the y^0 term of g
+        T, L = f.tables, f.order - 1
+        e = math.gcd(L, *(k for k, _ in self.g_terms + self.h_terms))
+        j = np.arange(L // e, dtype=np.int64)  # y = g^j
+        h = np.zeros_like(j)
+        for k, c in self.h_terms:
+            h = T.add(h, T.exp[k % L * j % L + T.log[c.index]])
+        g = g0.index
+        if len(self.g_terms) > 1:
+            u, (k, c) = len(self.g_terms), self.g_terms[1]
+            n_a = g0 / c
+            top = T.sub((n_a ** u).index, T.exp[u * k % L * j % L])
+            g = T.mul(top, T.inv_of(T.sub(n_a.index, T.exp[k % L * j % L])))
+        values = T.pow(T.mul(T.mul(g, h), self.scale.index), self.t)
+        # W(0) cancels: shifted, W's y^Q term -W(0) - e S_M folds onto its y term W(0)
+        return Poly.from_cycle(f, 0, values, e).shift(1).reduce()
 
     def __repr__(self):
         return (

@@ -2,21 +2,27 @@
 
 Coefficients are stored little-endian as an int64 array of element indices.
 A product is one exact float64 FFT convolution of the operands' base-p digit
-matrices (_convolve); interpolation is a chirp correlation read from one
-cyclic such convolution.  Reduction mod x^Q - x (Q the field order) uses the
-exponent rule k -> ((k - 1) mod (Q - 1)) + 1 for k >= Q, which never sends a
-positive exponent to 0 and so preserves the induced function on the whole
-field, including at 0.  Two reduced polynomials are equal iff they induce
-the same function (Lidl & Niederreiter, Finite Fields, ch. 7).  Powers run
-on polynomials in z = x^e, e the gcd of Q - 1 and every nonzero exponent
-of the base: with M = (Q - 1)/e, z -> x^e is a ring homomorphism
-F[z]/(z^(M+1) - z) -> F[x]/(x^Q - x), as x^(e(M+1)) = x^(Q-1+e) = x^e, and it
-keeps reduced representatives reduced (degree <= eM = Q - 1).  So pow_mod
-folds idx[::e] by the same rule at M + 1 (k -> ((k - 1) mod M) + 1 for k > M)
-and scatters the result back; e = 1 is the power on all Q coefficients.
-Every operation, interpolation included, reads the field's dense tables and
-is bounded only by their limit (gf.TABLE_LIMIT); exhaustive checks over a
-field are bounded by the oracle cap instead.
+matrices (_convolve), which finishes only the output window its caller reads.
+Reduction mod x^Q - x (Q the field order) uses the exponent rule
+k -> ((k - 1) mod (Q - 1)) + 1 for k >= Q, which never sends a positive
+exponent to 0 and so preserves the induced function on the whole field,
+including at 0.  Two reduced polynomials are equal iff they induce the same
+function (Lidl & Niederreiter, Finite Fields, ch. 7).  Polynomials in
+z = x^e, e | Q - 1, live in a smaller ring: with M = (Q - 1)/e, z -> x^e is
+a ring homomorphism F[z]/(z^(M+1) - z) -> F[x]/(x^Q - x), as
+x^(e(M+1)) = x^(Q-1+e) = x^e, and it keeps reduced representatives reduced
+(degree <= eM = Q - 1).  As z^(M+1) - z splits into distinct linear factors
+over {0} and the cycle mu_M of g^e (g the table generator), such a
+polynomial is fixed by its values there; Poly.from_cycle interpolates them
+by a chirp correlation read from one cyclic convolution (_cycle_coeffs).  On
+the whole group (e = 1) that is Poly.interpolate; family.ClosedInverse.as_poly
+takes its t-th power pointwise on mu_M.  pow_mod, for compose_mod, takes
+powers by square and multiply on idx[::e], e the gcd of Q - 1 and every
+nonzero exponent of the base, folded by the same rule at M + 1
+(k -> ((k - 1) mod M) + 1 for k > M), and scatters the result back.  Every
+operation, interpolation included, reads the field's dense tables and is
+bounded only by their limit (gf.TABLE_LIMIT); exhaustive checks over a field
+are bounded by the oracle cap instead.
 """
 
 from __future__ import annotations
@@ -85,9 +91,9 @@ def _limb_split(p: int, digits: int, la: int, lb: int) -> tuple[int, int]:
     raise ValueError("polynomials too long for an exact float64 product")
 
 
-def _convolve(field: Field, a_idx: np.ndarray, b_idx: np.ndarray, size: int) -> np.ndarray:
-    """The first min(size, la + lb - 1) element indices of the length-size cyclic
-    convolution of index vectors of lengths la and lb (size a power of two).
+def _convolve(field: Field, a_idx: np.ndarray, b_idx: np.ndarray, size: int, window: slice) -> np.ndarray:
+    """The element indices in window of the length-size cyclic convolution of
+    index vectors of lengths la and lb (size a power of two).
 
     Each operand's base-p digit matrix is transformed once along the coefficient
     axis.  Digit u of one operand times digit v of the other lands on digit u + v,
@@ -95,7 +101,8 @@ def _convolve(field: Field, a_idx: np.ndarray, b_idx: np.ndarray, size: int) -> 
     one inverse transform and np.rint then give the exact integer digit sums, since
     _limb_split keeps the rounding error below 1/4 (for large p by splitting digits
     into limbs, which adds a second digit-like axis).  Digits u + v >= D fold back
-    through x^(u+v) mod the field modulus.
+    through x^(u+v) mod the field modulus.  Only the window's coefficients are
+    rounded, reduced and folded.
     """
     T, D, p = field.tables, field.degree, field.p
     la, lb = len(a_idx), len(b_idx)
@@ -113,7 +120,7 @@ def _convolve(field: Field, a_idx: np.ndarray, b_idx: np.ndarray, size: int) -> 
     for u in range(len(A)):
         for i in range(r):
             C[u:u + len(B), i:i + r] += A[u, i] * B
-    C = np.rint(np.fft.irfft(C, n=size)[..., : la + lb - 1])
+    C = np.rint(np.fft.irfft(C, n=size)[..., window])
     C -= p * np.rint(C * (1 / p))  # now |C| <= p/2 + 1, congruent mod p
     # limb sum l of digit w weighs 2^(bits l) x^w, and x^w for w >= D folds
     # back below the field modulus; in float64 this is exact, each sum
@@ -239,8 +246,9 @@ class Poly:
             raise TypeError("mixed fields")
         if not self or not other:
             return Poly(self.field)
-        size = 1 << (len(self.idx) + len(other.idx) - 2).bit_length()
-        return Poly(self.field, _convolve(self.field, self.idx, other.idx, size))
+        n = len(self.idx) + len(other.idx) - 1
+        size = 1 << (n - 1).bit_length()
+        return Poly(self.field, _convolve(self.field, self.idx, other.idx, size, slice(n)))
 
     def reduce(self) -> "Poly":
         """Canonical representative of the induced function (degree < Q)."""
@@ -338,29 +346,47 @@ class Poly:
     def interpolate(cls, field: Field, images) -> "Poly":
         """Unique polynomial of degree < Q taking the value images[x] at each x.
 
-        images holds the Q integer image indices in index order.  With g the
-        table generator and L = Q - 1, the group-sum formula (Lidl &
-        Niederreiter, Finite Fields, ch. 7) gives c_0 = F(0), c_k = -S_k for
-        0 < k < L and c_L = -S_L - F(0), S_k = sum_(j<L) F(g^j) g^(-jk).  As
-        -jk = C(j,2) + C(k,2) - C(j+k,2) (Bluestein's chirp), S_k is g^C(k,2)
-        times the correlation sum_j a_j b_(j+k) of a_j = F(g^j) g^C(j,2) and
-        b_m = g^-C(m,2), taken as one cyclic FFT product (a middle product:
-        Hanrot, Quercia and Zimmermann, AAECC 14 (2004)).
+        images holds the Q integer image indices in index order; this is
+        from_cycle on the whole unit group (e = 1).
         """
         y_by_x = check_images(field, images)
-        T = field.tables
-        L = field.order - 1
-        m = np.arange(2 * L, dtype=np.int64)
-        chirp = T.exp[m * (m - 1) // 2 % L]  # g^C(m, 2)
-        a = T.mul(y_by_x[T.exp[:L]], chirp[:L])
-        b = T.inv[chirp]
-        # a reversed times b[1:2L] has coefficient L - 2 + k = sum_j a_j b_(j+k); the
-        # 3L - 2 coefficients, cyclic at length N >= 2L - 1, wrap only below L - 1
-        N = 1 << (2 * L - 2).bit_length()
-        sums = _convolve(field, a[::-1], b[1:2 * L], N)[L - 1:2 * L - 1]
-        sums = T.mul(sums, chirp[1:L + 1])
-        sums[-1] = T.add(sums[-1], y_by_x[0])  # the k = L sum also takes F(0)
-        return cls(field, np.concatenate([y_by_x[:1], T.neg[sums]]))
+        units = field.tables.exp[: field.order - 1]
+        return cls.from_cycle(field, y_by_x[0], y_by_x[units], 1)
+
+    @classmethod
+    def from_cycle(cls, field: Field, at_zero, values: np.ndarray, e: int) -> "Poly":
+        """W(x^e) for the W of degree <= M = (Q - 1)/e with W(0) = at_zero and
+        W(g^(ej)) = values[j] for j < M, g the table generator (_cycle_coeffs)."""
+        return _spread(cls(field, _cycle_coeffs(field, at_zero, values, e)), e)
+
+
+def _cycle_coeffs(field: Field, at_zero, values: np.ndarray, e: int) -> np.ndarray:
+    """Coefficients w_0 .. w_M of the W of degree <= M = (Q - 1)/e with W(0) =
+    at_zero and W(g^(ej)) = values[j] for j < M, g the table generator.
+
+    z^(M+1) - z splits into distinct linear factors over {0} and the cycle
+    mu_M of h = g^e, so W is unique.  Inverting the DFT on mu_M (Lidl &
+    Niederreiter, Finite Fields, ch. 7; 1/M = -e in F_p, as eM = Q - 1)
+    gives w_0 = W(0), w_k = -e S_k for 0 < k < M and w_M = -e S_M - W(0),
+    S_k = sum_(j<M) W(h^j) h^(-jk).  As -jk = C(j,2) + C(k,2) - C(j+k,2)
+    (Bluestein's chirp), S_k is h^C(k,2) times the correlation
+    sum_j a_j b_(j+k) of a_j = W(h^j) h^C(j,2) and b_m = h^-C(m,2), taken as
+    one cyclic FFT product (a middle product: Hanrot, Quercia and
+    Zimmermann, AAECC 14 (2004)).
+    """
+    T = field.tables
+    M = (field.order - 1) // e
+    m = np.arange(2 * M, dtype=np.int64)
+    chirp = T.exp[m * (m - 1) // 2 % M * e]  # h^C(m, 2)
+    a = T.mul(values, chirp[:M])
+    b = T.inv[chirp]
+    # a reversed times b[1:2M] has coefficient M - 2 + k = sum_j a_j b_(j+k); the
+    # 3M - 2 coefficients, cyclic at length N >= 2M - 1, wrap only below M - 1
+    N = 1 << (2 * M - 2).bit_length()
+    sums = _convolve(field, a[::-1], b[1:2 * M], N, slice(M - 1, 2 * M - 1))
+    w = T.mul(T.mul(sums, chirp[1:M + 1]), -e % field.p)
+    w[-1] = T.sub(w[-1], at_zero)
+    return np.concatenate([[at_zero], w])
 
 
 def _step(order: int, poly: Poly) -> int:

@@ -219,6 +219,26 @@ def test_closed_inverse_poly_matches_interpolation():
                     assert prm.inverse_polynomial(a) == inverse_poly_by_interpolation(table)
 
 
+@pytest.mark.parametrize("spec", [(3, 1, 4), (2, 1, 8), (5, 1, 3), (7, 1, 2)])
+def test_inverse_polynomial_matches_the_power_chain(spec):
+    # the dense power y (scale g h)^t by square and multiply, independent of
+    # the values on the cycle that inverse_polynomial interpolates
+    field = Field(*spec)
+    rng = np.random.default_rng(field.order)
+    ts, us = set(), set()
+    for m in range(1, field.n + 1):
+        for prm in all_params(field, m):
+            pp = prm.a_indices()[prm.criterion_mask()]
+            for a in rng.choice(pp, size=min(3, len(pp)), replace=False):
+                ci = prm.closed_inverse(int(a))
+                terms = [(i + j, c * d) for i, c in ci.g_terms for j, d in ci.h_terms]
+                chain = poly_from_terms(field, terms).pow_mod(ci.t).scale(ci.scale ** ci.t).shift(1).reduce()
+                assert prm.inverse_polynomial(int(a)) == chain, (prm, a)
+                ts.add(prm.t)
+                us.add(prm.u)
+    assert 1 in ts and max(us) > 1
+
+
 def test_vector_paths_match_scalar():
     field = Field(5, 1, 2)
     prm = PPParams(field, 2, 4, 6)

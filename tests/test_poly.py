@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ppinv.gf import Field, is_prime
-from ppinv.poly import Poly, family_poly, poly_from_terms, _comb_mod_p, _limb_split
+from ppinv.poly import Poly, family_poly, poly_from_terms, _comb_mod_p, _cycle_coeffs, _limb_split
 from ppinv.verify import field_splits
 
 
@@ -342,29 +342,38 @@ def test_interpolation_memory_is_bounded(n, bound):
 
 # -- interpolation against the group-sum formula --------------------------------
 
-def group_sum_interpolate(field, images):
-    """Reference: c_0 = F(0), c_k = -sum_j F(g^j) g^(-jk), c_L = -sum_x F(x).
+def group_sum_cycle(field, at_zero, values, e):
+    """Reference: the W of degree <= M = (Q - 1)/e with W(0) = at_zero and
+    W(g^(ej)) = values[j]: w_0 = W(0), w_k = S_k / M for 0 < k < M and
+    w_M = S_M / M - W(0), S_k = sum_j W(g^(ej)) g^(-ejk) (the inverse DFT on
+    the cycle, as w_0 + w_M = S_0 / M = S_M / M).
 
     The formula term by term in the log domain, one exp gather per term, in
     blocks of at most 2^14 terms.
     """
     T = field.tables
     L = field.order - 1
-    y_by_x = np.asarray(images, dtype=np.int64)
-    y = y_by_x[T.exp[:L]]  # F(g^j), j = 0..L-1
-    j = np.flatnonzero(y)
-    logs = T.log[y[j]]
-    k = np.arange(1, field.order, dtype=np.int64)
-    sums = np.zeros(L, dtype=np.int64)
-    step = max(1, (1 << 14) // L)
+    M = L // e
+    j = np.flatnonzero(values)
+    logs = T.log[values[j]]
+    k = np.arange(1, M + 1, dtype=np.int64)
+    sums = np.zeros(M, dtype=np.int64)
+    step = max(1, (1 << 14) // M)
     for lo in range(0, len(j), step):
-        # log of F(g^j) g^(-jk) = log F(g^j) + (L - j) k mod L
-        e = np.multiply.outer(L - j[lo:lo + step], k)
-        e += logs[lo:lo + step, None]
-        e %= L
-        sums = T.add(sums, T.sum_terms(T.exp[e]))
-    sums[-1] = T.add(sums[-1], y_by_x[0])
-    return Poly(field, np.concatenate([y_by_x[:1], T.neg[sums]]))
+        # log of W(g^(ej)) g^(-ejk) = log W(g^(ej)) + e (M - j) k mod L
+        ex = np.multiply.outer(e * (M - j[lo:lo + step]), k)
+        ex += logs[lo:lo + step, None]
+        ex %= L
+        sums = T.add(sums, T.sum_terms(T.exp[ex]))
+    w = T.mul(sums, pow(M, -1, field.p))
+    w[-1] = T.sub(w[-1], at_zero)
+    return np.concatenate([[at_zero], w])
+
+
+def group_sum_interpolate(field, images):
+    """Reference: c_0 = F(0), c_k = -sum_j F(g^j) g^(-jk), c_L = -sum_x F(x)."""
+    y_by_x = np.asarray(images, dtype=np.int64)
+    return Poly(field, group_sum_cycle(field, y_by_x[0], y_by_x[field.tables.exp[:field.order - 1]], 1))
 
 
 def _table(Q, kind, seed):
@@ -413,9 +422,9 @@ def test_interpolation_is_one_convolution(monkeypatch, spec):
     calls = []
     convolve, product = ppinv.poly._convolve, Poly.__mul__
 
-    def spy_convolve(field, a_idx, b_idx, size):
-        calls.append("convolve")
-        return convolve(field, a_idx, b_idx, size)
+    def spy_convolve(field, a_idx, b_idx, size, window):
+        calls.append(("convolve", len(range(size)[window])))
+        return convolve(field, a_idx, b_idx, size, window)
 
     def spy_mul(self, other):
         calls.append("mul")
@@ -426,7 +435,23 @@ def test_interpolation_is_one_convolution(monkeypatch, spec):
     field = Field(*spec)
     table = np.random.default_rng(field.order).integers(0, field.order, field.order)
     assert Poly.interpolate(field, table) == group_sum_interpolate(field, table)
-    assert calls == ["convolve"]
+    assert calls == [("convolve", field.order - 1)]  # one kernel call, finishing only the L sums
+
+
+@pytest.mark.parametrize("spec", [(3, 1, 6), (2, 1, 10), (5, 1, 4), (257, 1, 1)])
+def test_cycle_coeffs_on_every_subgroup(spec):
+    field = Field(*spec)
+    T, L = field.tables, field.order - 1
+    rng = np.random.default_rng(L)
+    for e in (e for e in range(1, L + 1) if L % e == 0):  # e = L, L/2 give M = 1, 2
+        M = L // e
+        at_zero, values = rng.integers(0, field.order), rng.integers(0, field.order, M)
+        coeffs = _cycle_coeffs(field, at_zero, values, e)
+        assert np.array_equal(coeffs, group_sum_cycle(field, at_zero, values, e)), e
+        W = Poly(field, coeffs)
+        assert W.degree <= M
+        assert W(field.zero).index == at_zero
+        assert np.array_equal(W(field.element(T.exp[e * np.arange(M)])).index, values), e
 
 
 @pytest.mark.parametrize("spec", [(3, 1, 6), (2, 5, 2), (2, 1, 11), (43, 1, 2), (2039, 1, 1)])
@@ -533,26 +558,37 @@ def test_mul_mod_of_polynomials_in_mixed_powers(spec):
 
 
 def test_inverse_polynomial_products_stay_on_the_decimated_cycle(monkeypatch):
-    # each product of the symbolic inverse has operands of at most
-    # (Q - 1)/s_bar + 1 coefficients, since g*h is a polynomial in y^s_bar
+    # the symbolic inverse makes one kernel call and no product: its value
+    # operand has at most (Q - 1)/s_bar + 1 coefficients, since g*h is a
+    # polynomial in y^s_bar, and its transform is no longer than one product
+    # of two such operands
+    import ppinv.poly
     from ppinv.family import PPParams
 
     F = Field(2, 1, 12)
-    lengths = []
-    product = Poly.__mul__
+    calls = []
+    convolve, product = ppinv.poly._convolve, Poly.__mul__
 
-    def spy(self, other):
-        lengths.append(max(len(self.idx), len(other.idx)))
+    def spy_convolve(field, a_idx, b_idx, size, window):
+        calls.append(("convolve", len(a_idx), len(b_idx), size))
+        return convolve(field, a_idx, b_idx, size, window)
+
+    def spy_mul(self, other):
+        calls.append(("mul",))
         return product(self, other)
 
-    monkeypatch.setattr(Poly, "__mul__", spy)
+    monkeypatch.setattr(ppinv.poly, "_convolve", spy_convolve)
+    monkeypatch.setattr(Poly, "__mul__", spy_mul)
     points = F.all_elements()
     for m, s in [(12, 3), (12, 45), (6, 9), (12, 819)]:
         params = PPParams(F, m, s, (2 ** m - 1) // s)
         a = next(a for a in range(2, F.order) if params.is_permutation(F(a)))
-        lengths.clear()
+        calls.clear()
         inverse = params.inverse_polynomial(a)
-        assert lengths and max(lengths) <= (F.order - 1) // params.s_bar + 1, (m, s)
+        bound = (F.order - 1) // params.s_bar + 1
+        assert [call[0] for call in calls] == ["convolve"], (m, s)
+        _, la, lb, size = calls[0]
+        assert la <= bound and lb <= 2 * bound and size <= 1 << (2 * bound - 2).bit_length(), (m, s)
         assert np.array_equal(inverse(points).index, params.inverse_values(a)), (m, s)
 
 
