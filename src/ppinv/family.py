@@ -186,13 +186,9 @@ class PPParams:
         """Symbolic decomposition f^{-1}(y) = y (scale * g(y) * h(y))^t."""
         a, n_a, crit = self._permuting(a)
         scale = n_a / (self.field.one - crit)
-        nu = self._norm_exp
-        g_terms = tuple(
-            (nu * self.s * (l - 1), n_a ** (self.u - l)) for l in range(1, self.u + 1)
-        )
         # at y = 1 the terms are the coefficients a^{-E_i}
         h_terms = tuple(zip(self._G, frobenius_chain(*self._h_chain(a.inverse(), self.field.one))))
-        return ClosedInverse(self.field, a, self.t, scale, g_terms, h_terms)
+        return ClosedInverse(self.field, a, self.t, scale, n_a, self.u, self._norm_exp * self.s, h_terms)
 
     def inverse_polynomial(self, a) -> Poly:
         """Reduced coefficient form of the inverse, from the symbolic decomposition."""
@@ -235,19 +231,27 @@ class PPParams:
 class ClosedInverse:
     """The (scale, g, h, t) decomposition of the inverse of x(x^s - a)^t.
 
-    Term lists keep the literal exponents (which may exceed Q - 1); the g and
-    h properties fold them mod x^Q - x.
+    g = sum_l N^(u-l) y^(step (l-1)), l = 1 .. u, is kept as N = N(a), u and
+    step = nu s; h as its term list.  Term lists keep the literal exponents
+    (which may exceed Q - 1); the g and h properties fold them mod x^Q - x.
     """
 
-    __slots__ = ("field", "a", "t", "scale", "g_terms", "h_terms")
+    __slots__ = ("field", "a", "t", "scale", "n_a", "u", "step", "h_terms")
 
-    def __init__(self, field, a, t, scale, g_terms, h_terms):
+    def __init__(self, field, a, t, scale, n_a, u, step, h_terms):
         self.field = field
         self.a = a
         self.t = t
         self.scale = scale
-        self.g_terms = g_terms
+        self.n_a = n_a
+        self.u = u
+        self.step = step
         self.h_terms = h_terms
+
+    @property
+    def g_terms(self) -> tuple:
+        """The u terms (step (l-1), N^(u-l)) of g, l = 1 .. u."""
+        return tuple((self.step * (l - 1), self.n_a ** (self.u - l)) for l in range(1, self.u + 1))
 
     @property
     def g(self) -> Poly:
@@ -265,22 +269,20 @@ class ClosedInverse:
         its values at 0 and on the cycle mu_M (Poly.from_cycle): the t-th
         powers of scale g h at y = g^j, j < M, g the table generator.  There h
         is summed from its terms and g = sum_l N^(u-l) w^(l-1) =
-        (N^u - w^u)/(N - w), with N = N(a) the ratio of its consecutive
-        coefficients and w = y^(nu s) = N(y^s), never N as a permutes.
+        (N^u - w^u)/(N - w), with N = N(a) and w = y^step = N(y^s), never N
+        as a permutes.
         """
-        f, (_, g0) = self.field, self.g_terms[0]  # the y^0 term of g
+        f, u, k = self.field, self.u, self.step
         T, L = f.tables, f.order - 1
-        e = math.gcd(L, *(k for k, _ in self.g_terms + self.h_terms))
+        e = math.gcd(L, k if u > 1 else 0, *(i for i, _ in self.h_terms))
         j = np.arange(L // e, dtype=np.int64)  # y = g^j
         h = np.zeros_like(j)
-        for k, c in self.h_terms:
-            h = T.add(h, T.exp[k % L * j % L + T.log[c.index]])
-        g = g0.index
-        if len(self.g_terms) > 1:
-            u, (k, c) = len(self.g_terms), self.g_terms[1]
-            n_a = g0 / c
-            top = T.sub((n_a ** u).index, T.exp[u * k % L * j % L])
-            g = T.mul(top, T.inv_of(T.sub(n_a.index, T.exp[k % L * j % L])))
+        for i, c in self.h_terms:
+            h = T.add(h, T.exp[i % L * j % L + T.log[c.index]])
+        g = f.one.index
+        if u > 1:
+            top = T.sub((self.n_a ** u).index, T.exp[u * k % L * j % L])
+            g = T.mul(top, T.inv_of(T.sub(self.n_a.index, T.exp[k % L * j % L])))
         values = T.pow(T.mul(T.mul(g, h), self.scale.index), self.t)
         # W(0) cancels: shifted, W's y^Q term -W(0) - e S_M folds onto its y term W(0)
         return Poly.from_cycle(f, 0, values, e).shift(1).reduce()
@@ -288,7 +290,7 @@ class ClosedInverse:
     def __repr__(self):
         return (
             f"ClosedInverse(a={self.a.index}, t={self.t}, scale={self.scale.index}, "
-            f"g={len(self.g_terms)} terms, h={len(self.h_terms)} terms)"
+            f"g={self.u} terms, h={len(self.h_terms)} terms)"
         )
 
 

@@ -95,7 +95,7 @@ def inverse_poly_by_interpolation(table: PermTable) -> Poly:
 
     Interpolated from the inverted table by Poly.interpolate: the group-sum
     formula as a chirp correlation of one FFT convolution, finished only on the
-    Q - 1 sums it reads.  The symbolic inverse runs the same kernel on a
+    Q - 1 sums it reads, against a kernel spectrum kept per field.  The symbolic inverse runs the same kernel on a
     subgroup; the tests check it against the formula term by term.
     """
     return Poly.interpolate(table.field, table.inverted().images)

@@ -2,7 +2,8 @@
 
 Coefficients are stored little-endian as an int64 array of element indices.
 A product is one exact float64 FFT convolution of the operands' base-p digit
-matrices (_convolve), which finishes only the output window its caller reads.
+matrices: each operand is transformed once (_transform), and _convolve
+multiplies the spectra and finishes only the output window its caller reads.
 Reduction mod x^Q - x (Q the field order) uses the exponent rule
 k -> ((k - 1) mod (Q - 1)) + 1 for k >= Q, which never sends a positive
 exponent to 0 and so preserves the induced function on the whole field,
@@ -16,10 +17,15 @@ over {0} and the cycle mu_M of g^e (g the table generator), such a
 polynomial is fixed by its values there; Poly.from_cycle interpolates them
 by a chirp correlation read from one cyclic convolution (_cycle_coeffs).  On
 the whole group (e = 1) that is Poly.interpolate; family.ClosedInverse.as_poly
-takes its t-th power pointwise on mu_M.  pow_mod, for compose_mod, takes
-powers by square and multiply on idx[::e], e the gcd of Q - 1 and every
-nonzero exponent of the base, folded by the same rule at M + 1
-(k -> ((k - 1) mod M) + 1 for k > M), and scatters the result back.  Every
+takes its t-th power pointwise on mu_M.  The chirp, the transform length and
+the spectrum of the correlation kernel depend only on the field and e: they
+are built on the first call into a _ChirpPlan, kept per e for as long as the
+field's tables live, so a later call gathers and transforms its values only.
+A plan holds D r spectrum rows of N/2 + 1 complex entries (r limbs per
+digit, N the power of two >= 2M - 1), 16 MiB for e = 1 at 2^16.  pow_mod,
+for compose_mod, takes powers by square and multiply on idx[::e], e the gcd
+of Q - 1 and every nonzero exponent of the base, folded by the same rule at
+M + 1 (k -> ((k - 1) mod M) + 1 for k > M), and scatters the result back.  Every
 operation, interpolation included, reads the field's dense tables and is
 bounded only by their limit (gf.TABLE_LIMIT); exhaustive checks over a field
 are bounded by the oracle cap instead.
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 
 import numpy as np
 
@@ -63,6 +70,11 @@ def _comb_mod_p(t: int, k: int, p: int) -> int:
     return out
 
 
+def _limb_bits(p: int, r: int) -> int:
+    """Bit width of each of the r limbs a base-p digit is split into."""
+    return -(-(p - 1).bit_length() // r)
+
+
 def _limb_split(p: int, digits: int, la: int, lb: int) -> tuple[int, int]:
     """Fewest limbs r, and their bit width, that keep an FFT product exact.
 
@@ -79,10 +91,9 @@ def _limb_split(p: int, digits: int, la: int, lb: int) -> tuple[int, int]:
     the full product's length and over-estimates it for any shorter cyclic one.
     """
     n = (la + lb - 2).bit_length()
-    width = (p - 1).bit_length()
     eps = 2.0 ** -53
-    for r in range(1, width + 1):
-        bits = -(-width // r)
+    for r in range(1, (p - 1).bit_length() + 1):
+        bits = _limb_bits(p, r)
         top = min(p - 1, (1 << bits) - 1)
         terms = digits * r
         grow = math.expm1((6 * n + terms) * math.log1p(eps) + (3 * n + 1) * math.log1p(eps * math.sqrt(5)))
@@ -91,12 +102,25 @@ def _limb_split(p: int, digits: int, la: int, lb: int) -> tuple[int, int]:
     raise ValueError("polynomials too long for an exact float64 product")
 
 
-def _convolve(field: Field, a_idx: np.ndarray, b_idx: np.ndarray, size: int, window: slice) -> np.ndarray:
-    """The element indices in window of the length-size cyclic convolution of
-    index vectors of lengths la and lb (size a power of two).
+def _transform(field: Field, idx: np.ndarray, size: int, r: int) -> np.ndarray:
+    """The spectrum _convolve takes for an index vector: its base-p digit matrix,
+    each digit split into r limbs, transformed along the coefficient axis at
+    length size (a power of two).
 
-    Each operand's base-p digit matrix is transformed once along the coefficient
-    axis.  Digit u of one operand times digit v of the other lands on digit u + v,
+    Axes: digit u, limb i, frequency.  Digits above the highest nonzero one are
+    dropped, all but digit 0 for an all-zero operand.
+    """
+    bits = _limb_bits(field.p, r)
+    limbs = field.tables.dig[idx].T[:, None] >> bits * np.arange(r)[:, None] & (1 << bits) - 1
+    return np.fft.rfft(limbs[: np.flatnonzero(limbs.any(axis=(1, 2))).max(initial=0) + 1], n=size)
+
+
+def _convolve(field: Field, A: np.ndarray, B: np.ndarray, size: int, window: slice) -> np.ndarray:
+    """The element indices in window of the length-size cyclic convolution of
+    two index vectors, given as their spectra (_transform, with the same size
+    and the r limbs of _limb_split for their lengths).
+
+    Digit u of one operand times digit v of the other lands on digit u + v,
     so the digit axis is convolved as at most D broadcast multiply-adds of spectra;
     one inverse transform and np.rint then give the exact integer digit sums, since
     _limb_split keeps the rounding error below 1/4 (for large p by splitting digits
@@ -105,17 +129,8 @@ def _convolve(field: Field, a_idx: np.ndarray, b_idx: np.ndarray, size: int, win
     rounded, reduced and folded.
     """
     T, D, p = field.tables, field.degree, field.p
-    la, lb = len(a_idx), len(b_idx)
-    r, bits = _limb_split(p, D, la, lb)
-    shifts = bits * np.arange(r)[:, None]
-
-    def spectrum(idx):
-        # axes: digit u, limb i, coefficient; digits above the highest
-        # nonzero one are dropped, all but digit 0 for an all-zero operand
-        limbs = T.dig[idx].T[:, None] >> shifts & (1 << bits) - 1
-        return np.fft.rfft(limbs[: np.flatnonzero(limbs.any(axis=(1, 2))).max(initial=0) + 1], n=size)
-
-    A, B = spectrum(a_idx), spectrum(b_idx)
+    r = A.shape[1]
+    bits = _limb_bits(p, r)
     C = np.zeros((len(A) + len(B) - 1, 2 * r - 1, size // 2 + 1), dtype=np.complex128)
     for u in range(len(A)):
         for i in range(r):
@@ -242,13 +257,16 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         """Plain (unreduced) product: one _convolve long enough not to wrap."""
-        if other.field != self.field:
+        f = self.field
+        if other.field != f:
             raise TypeError("mixed fields")
         if not self or not other:
-            return Poly(self.field)
-        n = len(self.idx) + len(other.idx) - 1
-        size = 1 << (n - 1).bit_length()
-        return Poly(self.field, _convolve(self.field, self.idx, other.idx, size, slice(n)))
+            return Poly(f)
+        la, lb = len(self.idx), len(other.idx)
+        size = 1 << (la + lb - 2).bit_length()
+        r, _ = _limb_split(f.p, f.degree, la, lb)
+        A, B = _transform(f, self.idx, size, r), _transform(f, other.idx, size, r)
+        return Poly(f, _convolve(f, A, B, size, slice(la + lb - 1)))
 
     def reduce(self) -> "Poly":
         """Canonical representative of the induced function (degree < Q)."""
@@ -360,6 +378,35 @@ class Poly:
         return _spread(cls(field, _cycle_coeffs(field, at_zero, values, e)), e)
 
 
+class _ChirpPlan:
+    """What _cycle_coeffs reads of the field and e alone, for M = (Q - 1)/e:
+    the chirp c_m = h^C(m, 2) of h = g^e as the head c_0 .. c_(M-1) and the
+    tail -e c_1 .. -e c_M, the transform length N, the limbs r of an exact
+    product of M by 2M - 1 coefficients, and the spectrum of the kernel
+    b_m = 1/c_m, 0 < m < 2M: D r rows of N/2 + 1 complex128, about 8 D r N bytes.
+    """
+
+    __slots__ = ("head", "tail", "size", "limbs", "kernel")
+
+    def __init__(self, field: Field, e: int):
+        T = field.tables
+        M = (field.order - 1) // e
+        m = np.arange(2 * M, dtype=np.int64)
+        chirp = T.exp[m * (m - 1) // 2 % M * e]
+        self.head = chirp[:M]
+        self.tail = T.mul(chirp[1:M + 1], -e % field.p)  # 1/M = -e in F_p
+        # a reversed times b_1 .. b_(2M-1) has coefficient M - 2 + k = sum_j a_j b_(j+k);
+        # the 3M - 2 coefficients, cyclic at length N >= 2M - 1, wrap only below M - 1
+        self.size = 1 << (2 * M - 2).bit_length()
+        self.limbs, _ = _limb_split(field.p, field.degree, M, 2 * M - 1)
+        self.kernel = _transform(field, T.inv[chirp[1:]], self.size, self.limbs)
+
+
+# the chirp plans of each field's tables by e, built on first use and dropped
+# with the tables
+_plans = weakref.WeakKeyDictionary()
+
+
 def _cycle_coeffs(field: Field, at_zero, values: np.ndarray, e: int) -> np.ndarray:
     """Coefficients w_0 .. w_M of the W of degree <= M = (Q - 1)/e with W(0) =
     at_zero and W(g^(ej)) = values[j] for j < M, g the table generator.
@@ -372,19 +419,18 @@ def _cycle_coeffs(field: Field, at_zero, values: np.ndarray, e: int) -> np.ndarr
     (Bluestein's chirp), S_k is h^C(k,2) times the correlation
     sum_j a_j b_(j+k) of a_j = W(h^j) h^C(j,2) and b_m = h^-C(m,2), taken as
     one cyclic FFT product (a middle product: Hanrot, Quercia and
-    Zimmermann, AAECC 14 (2004)).
+    Zimmermann, AAECC 14 (2004)).  Everything but a depends on the field and
+    e alone and is kept in a _ChirpPlan, so a call transforms a only.
     """
     T = field.tables
-    M = (field.order - 1) // e
-    m = np.arange(2 * M, dtype=np.int64)
-    chirp = T.exp[m * (m - 1) // 2 % M * e]  # h^C(m, 2)
-    a = T.mul(values, chirp[:M])
-    b = T.inv[chirp]
-    # a reversed times b[1:2M] has coefficient M - 2 + k = sum_j a_j b_(j+k); the
-    # 3M - 2 coefficients, cyclic at length N >= 2M - 1, wrap only below M - 1
-    N = 1 << (2 * M - 2).bit_length()
-    sums = _convolve(field, a[::-1], b[1:2 * M], N, slice(M - 1, 2 * M - 1))
-    w = T.mul(T.mul(sums, chirp[1:M + 1]), -e % field.p)
+    plans = _plans.setdefault(T, {})
+    plan = plans.get(e)
+    if plan is None:
+        plan = plans[e] = _ChirpPlan(field, e)
+    M = len(plan.head)
+    a = _transform(field, T.mul(values, plan.head)[::-1], plan.size, plan.limbs)
+    sums = _convolve(field, a, plan.kernel, plan.size, slice(M - 1, 2 * M - 1))
+    w = T.mul(sums, plan.tail)
     w[-1] = T.sub(w[-1], at_zero)
     return np.concatenate([[at_zero], w])
 

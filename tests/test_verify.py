@@ -9,7 +9,7 @@ import pytest
 
 from ppinv import special
 from ppinv.family import PPParams
-from ppinv.gf import Field
+from ppinv.gf import Field, is_prime
 from ppinv.oracle import CapExceededError, PermTable, inverse_poly_by_interpolation
 from ppinv.poly import _limb_split
 from ppinv.verify import (
@@ -53,6 +53,21 @@ def test_field_splits():
     s64 = [t for t in field_splits(64) if t[0] ** (t[1] * t[2]) == 64]
     assert s64 == [(2, 1, 6), (2, 2, 3), (2, 3, 2), (2, 6, 1)]
     assert field_splits(1) == []
+
+
+def test_field_splits_sieve_matches_trial_division():
+    bound = 2 ** 12
+    out = []
+    for p in filter(is_prime, range(2, bound + 1)):
+        k = 1
+        while p ** k <= bound:
+            out += [(p ** k, p, e, k // e) for e in range(1, k + 1) if k % e == 0]
+            k += 1
+    splits = field_splits(bound)
+    assert splits == [(p, e, n) for _, p, e, n in sorted(out)]
+    assert all(type(v) is int for split in splits for v in split)
+    assert [field_splits(b) for b in (-3, 0, 1, 2, 3, 4)] == [[], [], [], [(2, 1, 1)], [(2, 1, 1), (3, 1, 1)],
+                                                              [(2, 1, 1), (3, 1, 1), (2, 1, 2), (2, 2, 1)]]
 
 
 def test_bijection_mask():
