@@ -15,12 +15,18 @@ x^(e(M+1)) = x^(Q-1+e) = x^e, and it keeps reduced representatives reduced
 (degree <= eM = Q - 1).  As z^(M+1) - z splits into distinct linear factors
 over {0} and the cycle mu_M of g^e (g the table generator), such a
 polynomial is fixed by its values there; Poly.from_cycle interpolates them
-by a chirp correlation read from one cyclic convolution (_cycle_coeffs).  On
-the whole group (e = 1) that is Poly.interpolate; family.ClosedInverse.as_poly
-takes its t-th power pointwise on mu_M.  The chirp, the transform length and
-the spectrum of the correlation kernel depend only on the field and e: they
-are built on the first call into a _ChirpPlan, kept per e for as long as the
-field's tables live, so a later call gathers and transforms its values only.
+by a chirp correlation read from one cyclic convolution (_cycle_coeffs).
+Poly.interpolate first reads the table's own cycle: the largest e | Q - 1
+with F(0) = 0 and F(zeta y) = zeta F(y) for every zeta in mu_e, one vector
+compare per prime power of Q - 1 (_symmetry).  Then F(y) = y W(y^e) with
+W(g^(ej)) = F(g^j) / g^j, so it transforms (Q - 1)/e values, and a table
+with no symmetry (e = 1) the whole group.  The inverse of x h(x^s) has
+this form for the e that family.ClosedInverse.as_poly reads off its terms,
+so where the table has no further symmetry the two share one cycle and one
+plan.  The chirp, the transform length and the spectrum of the correlation
+kernel depend only on the field and e: they are built on the first call into
+a _ChirpPlan, kept per e for as long as the field's tables live, so a later
+call gathers and transforms its values only.
 A plan holds D r spectrum rows of N/2 + 1 complex entries (r limbs per
 digit, N the power of two >= 2M - 1), 16 MiB for e = 1 at 2^16.  pow_mod,
 for compose_mod, takes powers by square and multiply on idx[::e], e the gcd
@@ -39,7 +45,7 @@ import weakref
 
 import numpy as np
 
-from .gf import Field, FieldElement
+from .gf import Field, FieldElement, prime_factors
 
 def check_images(field: Field, images) -> np.ndarray:
     """A table of Q image indices as int64; TypeError unless its dtype is integer."""
@@ -364,12 +370,23 @@ class Poly:
     def interpolate(cls, field: Field, images) -> "Poly":
         """Unique polynomial of degree < Q taking the value images[x] at each x.
 
-        images holds the Q integer image indices in index order; this is
-        from_cycle on the whole unit group (e = 1).
+        images holds the Q integer image indices in index order.  First the
+        table's own cycle: e, the largest divisor of L = Q - 1 with F(0) = 0
+        and F(zeta y) = zeta F(y) for every unit y and zeta in mu_e
+        (_symmetry).  Then F(y) = y W(y^e), W(g^(ej)) = F(g^j) / g^j for
+        j < L/e, so from_cycle transforms L/e values, shifted by y and
+        reduced as in family.ClosedInverse.as_poly.  A table with no such
+        symmetry (e = 1) is from_cycle on the whole unit group.
         """
         y_by_x = check_images(field, images)
-        units = field.tables.exp[: field.order - 1]
-        return cls.from_cycle(field, y_by_x[0], y_by_x[units], 1)
+        T, L = field.tables, field.order - 1
+        units = y_by_x[T.exp[:L]]
+        e = _symmetry(field, y_by_x[0], units)
+        if e == 1:
+            return cls.from_cycle(field, y_by_x[0], units, 1)
+        M = L // e
+        w = T.mul(units[:M], T.inv[T.exp[:M]])
+        return cls.from_cycle(field, 0, w, e).shift(1).reduce()
 
     @classmethod
     def from_cycle(cls, field: Field, at_zero, values: np.ndarray, e: int) -> "Poly":
@@ -433,6 +450,29 @@ def _cycle_coeffs(field: Field, at_zero, values: np.ndarray, e: int) -> np.ndarr
     w = T.mul(sums, plan.tail)
     w[-1] = T.sub(w[-1], at_zero)
     return np.concatenate([[at_zero], w])
+
+
+def _symmetry(field: Field, at_zero, units: np.ndarray) -> int:
+    """The largest e | L = Q - 1 with F(0) = 0 and F(zeta y) = zeta F(y) for
+    every unit y and zeta in mu_e, F the table with F(0) = at_zero and
+    F(g^j) = units[j].
+
+    The zeta with F(zeta y) = zeta F(y) for all y form a subgroup of the
+    cyclic unit group, mu_e, and mu_e is the product of its parts mu_(q^i),
+    q^i || e.  So for each prime q | L, i rises while g^(L/q^i), the
+    generator of mu_(q^i), passes: one compare of the units rolled by L/q^i
+    against the units times g^(L/q^i).
+    """
+    if at_zero:
+        return 1
+    T, L = field.tables, len(units)
+    e = 1
+    for q in prime_factors(L):
+        k = q
+        while L % k == 0 and np.array_equal(np.roll(units, -(L // k)), T.mul(units, T.exp[L // k])):
+            k *= q
+        e *= k // q
+    return e
 
 
 def _step(order: int, poly: Poly) -> int:

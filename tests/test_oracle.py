@@ -1,5 +1,7 @@
 """Brute-force oracle: tables, bijectivity, interpolation, caps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from ppinv.oracle import (
     tabulate,
 )
 from ppinv.poly import Poly
+from ppinv.verify import factor_pairs, field_splits
 
 
 def f5_instance():
@@ -96,6 +99,29 @@ def test_interpolated_inverse_composes_to_identity():
     inv = table.inverted()
     for k in range(7):
         assert inv_poly(field(k)).index == inv.images[k]
+
+
+def test_oracle_inverse_reproduces_the_table_off_the_shared_plan():
+    # the oracle interpolates the inverse of a member with s_bar > 1 on the
+    # cycle mu_(L/s_bar), whose chirp plan inverse_polynomial shares, so it is
+    # checked here by Poly.__call__, table arithmetic that reads no plan: on
+    # every field up to 2^10 but F_2, one seeded member and permuting a
+    rng = np.random.default_rng(27)
+    checked = 0
+    for split in field_splits(1 << 10):
+        field = Field(*split)
+        L = field.order - 1
+        members = [(m, s, t) for m in range(1, field.n + 1)
+                   for s, t in factor_pairs(field.q ** m - 1) if math.gcd(s, L) > 1]
+        if not members:
+            continue
+        params = PPParams(field, *members[rng.integers(len(members))])
+        a = rng.choice(np.flatnonzero(params.criterion_mask())) + 1
+        table = PermTable(field, params.images_for([a])[0])
+        poly = inverse_poly_by_interpolation(table)
+        assert np.array_equal(poly(field.all_elements()).index, table.inverted().images), (split, params)
+        checked += 1
+    assert checked == len(field_splits(1 << 10)) - 1
 
 
 def test_check_composition_identity():

@@ -1,13 +1,15 @@
 """Polynomial ring mod x^Q - x: reduction, composition, interpolation."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ppinv.family import PPParams
 from ppinv.gf import Field, is_prime
-from ppinv.poly import Poly, family_poly, poly_from_terms, _comb_mod_p, _cycle_coeffs, _limb_split
+from ppinv.poly import Poly, family_poly, poly_from_terms, _comb_mod_p, _cycle_coeffs, _limb_split, _symmetry
 from ppinv.verify import field_splits
 
 
@@ -442,6 +444,54 @@ def test_interpolation_is_one_convolution(monkeypatch, spec):
     assert calls == [("convolve", field.order - 1)]  # one kernel call, finishing only the L sums
 
 
+def _cyclotomic_table(field, k, rng):
+    """A table y W(y^k), k | L = Q - 1: F(0) = 0 and F(g^j) = g^j W(g^(kj)), W random on mu_(L/k)."""
+    T, L = field.tables, field.order - 1
+    w = rng.integers(0, field.order, L // k)
+    table = np.zeros(field.order, dtype=np.int64)
+    table[T.exp[:L]] = T.mul(T.exp[:L], w[np.arange(L) % (L // k)])
+    return table
+
+
+def _table_symmetry(field, table):
+    return _symmetry(field, table[0], table[field.tables.exp[:field.order - 1]])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(split=st.sampled_from(field_splits(2048)), k=st.integers(1, 2 ** 11), seed=st.integers(0, 2 ** 32 - 1))
+@example(split=(2, 1, 10), k=33, seed=1)
+@example(split=(2, 1, 10), k=1023, seed=2)  # k = L: F(y) = c y on the units
+@example(split=(2, 5, 2), k=31, seed=3)
+@example(split=(3, 1, 6), k=56, seed=4)
+@example(split=(3, 1, 6), k=728, seed=5)
+@example(split=(3, 2, 3), k=8, seed=6)
+@example(split=(2039, 1, 1), k=2, seed=7)
+@example(split=(2039, 1, 1), k=1019, seed=8)
+@example(split=(2039, 1, 1), k=2038, seed=9)
+@example(split=(2, 1, 1), k=1, seed=10)  # L = 1: only e = 1
+def test_interpolate_on_the_table_cycle(split, k, seed):
+    # k becomes a divisor of L; the table's own e is a multiple of it (W may
+    # have more symmetry by chance), one changed unit entry leaves no zeta of
+    # mu_e, and F(0) != 0 leaves e = 1
+    field = Field(*split)
+    L = field.order - 1
+    k = math.gcd(k, L)
+    rng = np.random.default_rng(seed)
+    table = _cyclotomic_table(field, k, rng)
+    e = _table_symmetry(field, table)
+    assert e % k == 0
+    changed = table.copy()
+    at = field.tables.exp[rng.integers(L)]
+    changed[at] = (changed[at] + rng.integers(1, field.order)) % field.order
+    fallback = _table_symmetry(field, changed)
+    assert math.gcd(fallback, e) == 1 and (fallback < e or e == 1)
+    moved = table.copy()
+    moved[0] = rng.integers(1, field.order)
+    assert _table_symmetry(field, moved) == 1
+    for case in (table, changed, moved):
+        assert Poly.interpolate(field, case) == group_sum_interpolate(field, case)
+
+
 @pytest.mark.parametrize("spec", [(3, 1, 6), (2, 1, 10), (5, 1, 4), (257, 1, 1)])
 def test_cycle_coeffs_on_every_subgroup(spec):
     # the first round builds one chirp plan per e, the second reuses them
@@ -488,6 +538,37 @@ def test_interpolations_share_the_field_plan(monkeypatch):
     for table in tables:
         assert Poly.interpolate(field, table) == group_sum_interpolate(field, table)
     assert sorted(lengths) == [L] * len(tables) + [2 * L - 1]
+
+
+@pytest.mark.parametrize("spec, m, s", [((3, 1, 6), 6, 14), ((2, 5, 2), 2, 33)])
+def test_member_inverse_interpolates_on_its_cycle(monkeypatch, spec, m, s):
+    # the inverse of x (x^s - a)^t is y W(y^s_bar): one convolution finishing
+    # the L/s_bar sums, one plan, which inverse_polynomial then reuses
+    import ppinv.poly
+
+    field = Field(*spec)
+    L = field.order - 1
+    params = PPParams(field, m, s, (field.q ** m - 1) // s)
+    M = L // params.s_bar
+    assert params.s_bar > 1
+    a = int(np.flatnonzero(params.criterion_mask())[0]) + 1
+    inverse = np.argsort(params.images_for([a])[0])
+    sums = []
+    convolve = ppinv.poly._convolve
+
+    def spy(field, A, B, size, window):
+        sums.append(len(range(size)[window]))
+        return convolve(field, A, B, size, window)
+
+    monkeypatch.setattr(ppinv.poly, "_convolve", spy)
+    lengths = _count_transforms(monkeypatch)
+    poly = Poly.interpolate(field, inverse)
+    assert sums == [M]
+    assert list(ppinv.poly._plans[field.tables]) == [params.s_bar]
+    assert sorted(lengths) == [M, 2 * M - 1]
+    lengths.clear()
+    assert params.inverse_polynomial(a) == poly
+    assert lengths == [M]  # its values only: no new kernel
 
 
 def test_equal_fields_keep_their_own_plans(monkeypatch):
