@@ -680,9 +680,6 @@ class FieldTables:
         self.log[units] = ks
         self.inv = np.zeros(q, dtype=np.int64)
         self.inv[units] = units[(L - ks) % L]
-        # Frobenius x -> x^p on indices
-        self.frob = np.zeros(q, dtype=np.int64)
-        self.frob[units] = units[ks * p % L]
         # -u = u g^((Q-1)/2) for odd Q
         self.neg = np.arange(q, dtype=np.int64) if p == 2 else self.exp[self.log + L // 2]
 

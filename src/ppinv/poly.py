@@ -28,10 +28,7 @@ kernel depend only on the field and e: they are built on the first call into
 a _ChirpPlan, kept per e for as long as the field's tables live, so a later
 call gathers and transforms its values only.
 A plan holds D r spectrum rows of N/2 + 1 complex entries (r limbs per
-digit, N the power of two >= 2M - 1), 16 MiB for e = 1 at 2^16.  pow_mod,
-for compose_mod, takes powers by square and multiply on idx[::e], e the gcd
-of Q - 1 and every nonzero exponent of the base, folded by the same rule at
-M + 1 (k -> ((k - 1) mod M) + 1 for k > M), and scatters the result back.  Every
+digit, N the power of two >= 2M - 1), 16 MiB for e = 1 at 2^16.  Every
 operation, interpolation included, reads the field's dense tables and is
 bounded only by their limit (gf.TABLE_LIMIT); exhaustive checks over a field
 are bounded by the oracle cap instead.
@@ -182,15 +179,6 @@ class Poly:
     def x(cls, field: Field) -> "Poly":
         return cls(field, [0, 1])
 
-    @classmethod
-    def monomial(cls, field: Field, exp: int, coeff=1) -> "Poly":
-        if exp < 0:
-            raise ValueError("negative exponent")
-        c = field.element(coeff)
-        arr = np.zeros(exp + 1, dtype=np.int64)
-        arr[exp] = c.index
-        return cls(field, arr)
-
     # -- basics ---------------------------------------------------------------
 
     @property
@@ -275,94 +263,42 @@ class Poly:
         return Poly(f, _convolve(f, A, B, size, slice(la + lb - 1)))
 
     def reduce(self) -> "Poly":
-        """Canonical representative of the induced function (degree < Q)."""
-        return self._reduce(self.field.order)
-
-    def _reduce(self, order: int) -> "Poly":
-        """Fold mod x^order - x: x^k -> x^(((k - 1) mod (order - 1)) + 1) for k >= order."""
-        if len(self.idx) <= order:
+        """Canonical representative of the induced function (degree < Q):
+        x^k -> x^(((k - 1) mod (Q - 1)) + 1) for k >= Q."""
+        Q = self.field.order
+        if len(self.idx) <= Q:
             return Poly(self.field, self.idx)
-        out = self.idx[:order].copy()
-        for lo in range(order, len(self.idx), order - 1):  # x^(order + (order-1) r + i) -> x^(i+1)
-            chunk = self.idx[lo:lo + order - 1]
+        out = self.idx[:Q].copy()
+        for lo in range(Q, len(self.idx), Q - 1):  # x^(Q + (Q-1) r + i) -> x^(i+1)
+            chunk = self.idx[lo:lo + Q - 1]
             out[1:len(chunk) + 1] = self.field.tables.add(out[1:len(chunk) + 1], chunk)
         return Poly(self.field, out)
 
-    def mul_mod(self, other: "Poly") -> "Poly":
-        """Product mod x^Q - x."""
-        return (self * other).reduce()
-
     def frobenius(self) -> "Poly":
-        """p-th power of the polynomial, reduced: coefficients c -> c^p, exponents k -> kp."""
-        return self.reduce()._frobenius(self.field.order)
-
-    def _frobenius(self, order: int) -> "Poly":
-        """p-th power of a polynomial reduced mod x^order - x, order - 1 dividing Q - 1.
-
-        Exponent k > 0 goes to ((kp - 1) mod (order - 1)) + 1, a permutation of
-        1 .. order - 1 as p is prime to order - 1, so no two terms collide.
-        """
-        f = self.field
-        tgt = np.arange(len(self.idx))
-        tgt[1:] = (tgt[1:] * f.p - 1) % (order - 1) + 1
+        """p-th power, reduced: c -> c^p, and exponent k > 0 -> ((kp - 1) mod (Q - 1)) + 1,
+        a permutation of 1 .. Q - 1 as p is prime to Q - 1.  No package path calls
+        it: it stays as a bench layer and a test reference."""
+        f, base = self.field, self.reduce()
+        tgt = np.arange(len(base.idx))
+        tgt[1:] = (tgt[1:] * f.p - 1) % (f.order - 1) + 1
         out = np.zeros(tgt.max(initial=-1) + 1, dtype=np.int64)
-        out[tgt] = f.tables.frob[self.idx]
+        out[tgt] = f.tables.pow(base.idx, f.p)
         return Poly(f, out)
 
     def pow_mod(self, k: int) -> "Poly":
-        """k-th power mod x^Q - x: with z = x^e, e = gcd(Q - 1, the exponents
-        of the reduced base), the power in z folded mod z^(M+1) - z, M = (Q - 1)/e.
-
-        The exponent is split in base p: digits at p^j are handled on the
-        j-fold Frobenius image, which costs no convolutions, so pure p-power
-        exponents reduce to coefficient maps; each digit by square and multiply.
-        """
+        """k-th power mod x^Q - x by square and multiply.  No package path calls
+        it: it stays as a bench layer and a test reference."""
         k = operator.index(k)
         if k < 0:
             raise ValueError("negative exponent")
-        f = self.field
-        if k == 0:
-            return Poly.one(f)
-        base = self.reduce()
-        e = _step(f.order, base)
-        order = (f.order - 1) // e + 1
-        base = Poly(f, base.idx[::e])
-        result = None
+        result, base = Poly.one(self.field), self.reduce()
         while k:
-            k, d = divmod(k, f.p)
-            power = base
-            while d:
-                if d & 1:
-                    result = power if result is None else (result * power)._reduce(order)
-                d >>= 1
-                if d:
-                    power = (power * power)._reduce(order)
+            if k & 1:
+                result = (result * base).reduce()
+            k >>= 1
             if k:
-                base = base._frobenius(order)
-        return _spread(result, e)
-
-    def compose_mod(self, inner: "Poly") -> "Poly":
-        """Reduced composition self(inner(x)); exploits sparse outer terms."""
-        if inner.field != self.field:
-            raise TypeError("mixed fields")
-        f = self.field
-        out = Poly(f)
-        inner_r = inner.reduce()
-        acc = None
-        cur = 0
-        for e, c in self.terms():
-            if e == 0:
-                out = out + Poly(f, [c])
-                continue
-            if acc is None:
-                acc = inner_r.pow_mod(e)
-            elif e % cur == 0 and e // cur > 1:
-                acc = acc.pow_mod(e // cur)
-            else:
-                acc = acc.mul_mod(inner_r.pow_mod(e - cur))
-            cur = e
-            out = out + acc.scale(c)
-        return out.reduce()
+                base = (base * base).reduce()
+        return result
 
     # -- interpolation ----------------------------------------------------------
 
@@ -473,11 +409,6 @@ def _symmetry(field: Field, at_zero, units: np.ndarray) -> int:
             k *= q
         e *= k // q
     return e
-
-
-def _step(order: int, poly: Poly) -> int:
-    """The gcd of order - 1 and every nonzero exponent of poly."""
-    return int(np.gcd.reduce(np.append(np.flatnonzero(poly.idx), order - 1)))
 
 
 def _spread(z: Poly, e: int) -> Poly:

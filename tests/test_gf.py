@@ -289,7 +289,6 @@ def test_tables_match_scalar_ops(spec):
     Q = F.order
     for i in range(Q):
         assert T.neg[i] == K.neg_idx(i)
-        assert T.frob[i] == K.pow_idx(i, F.p)
         if i:
             assert T.inv[i] == K.pow_idx(i, Q - 2)
         for j in range(Q):
@@ -348,18 +347,16 @@ def test_tables_equal_reference(spec):
     gen, exp = _reference_powers(F)  # packed-kernel products, not the tables under test
     T = F.tables
     Q, p, group = F.order, F.p, len(exp)
-    log, inv, frob = [2 * group] * Q, [0] * Q, [0] * Q  # log 0 folded in as 2 (Q - 1)
+    log, inv = [2 * group] * Q, [0] * Q  # log 0 folded in as 2 (Q - 1)
     for k, x in enumerate(exp):
         log[x] = k
         inv[x] = exp[-k % group]
-        frob[x] = exp[k * p % group]
     dig = np.arange(Q, dtype=np.int64)[:, None] // T.pw % p
     assert T.generator == gen
     assert T.group == group
     assert T.exp.tolist() == exp + exp + [0] * (2 * group + 1)
     assert T.log.tolist() == log
     assert T.inv.tolist() == inv
-    assert T.frob.tolist() == frob
     assert np.array_equal(T.neg, (-dig % p) @ T.pw)
     assert np.array_equal(T.dig, dig)
 
