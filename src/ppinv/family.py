@@ -265,8 +265,8 @@ class ClosedInverse:
         """Reduced coefficient vector of y (scale * g(y) * h(y))^t.
 
         Every exponent of g h is a multiple of e = gcd(Q - 1, the exponents),
-        so the inverse is y W(y^e) with W of degree <= M = (Q - 1)/e, fixed by
-        its values at 0 and on the cycle mu_M (Poly.from_cycle): the t-th
+        so the inverse is y W(y^e) with W of degree <= M = (Q - 1)/e and W(0) = 0,
+        fixed by its values on the cycle mu_M (Poly.from_cycle): the t-th
         powers of scale g h at y = g^j, j < M, g the table generator.  There h
         is summed from its terms and g = sum_l N^(u-l) w^(l-1) =
         (N^u - w^u)/(N - w), with N = N(a) and w = y^step = N(y^s), never N
@@ -284,8 +284,7 @@ class ClosedInverse:
             top = T.sub((self.n_a ** u).index, T.exp[u * k % L * j % L])
             g = T.mul(top, T.inv_of(T.sub(self.n_a.index, T.exp[k % L * j % L])))
         values = T.pow(T.mul(T.mul(g, h), self.scale.index), self.t)
-        # W(0) cancels: shifted, W's y^Q term -W(0) - e S_M folds onto its y term W(0)
-        return Poly.from_cycle(f, 0, values, e).shift(1).reduce()
+        return Poly.from_cycle(f, 0, values, e)
 
     def __repr__(self):
         return (

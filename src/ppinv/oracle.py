@@ -93,14 +93,16 @@ def tabulate(field: Field, fn, cap: int | None = None) -> PermTable:
 def inverse_poly_by_interpolation(table: PermTable) -> Poly:
     """Reduced polynomial inducing the inverse permutation.
 
-    Interpolated from the inverted table by Poly.interpolate: the group-sum
-    formula as a chirp correlation of one FFT convolution on the table's own
-    cycle, finished only on the (Q - 1)/e sums it reads, e the largest order of
-    roots of unity zeta with F(zeta y) = zeta F(y) (e = gcd(s, Q - 1) for an
-    inverse in the family), against a kernel spectrum kept per field and e.
-    The symbolic inverse runs the same kernel on the same cycle, so the tests
-    check both against the formula term by term and the interpolant against
-    the table point by point.
+    Interpolated from the inverted table by Poly.interpolate as
+    F(0) + y W(y^e): the group-sum formula as a chirp correlation of one FFT
+    convolution on the table's own cycle, finished only on the (Q - 1)/e sums
+    it reads, e the largest order of roots of unity zeta with
+    G(zeta y) = zeta G(y) for G = F - F(0) (e = gcd(s, Q - 1) for an inverse
+    in the family, where F(0) = 0), against a kernel spectrum kept per field
+    and e.  The symbolic inverse runs the same kernel on the same cycle and
+    builds the same shape through Poly.from_cycle, so the tests check both
+    against the formula term by term and the interpolant against the table
+    point by point.
     """
     return Poly.interpolate(table.field, table.inverted().images)
 

@@ -11,22 +11,23 @@ including at 0.  Two reduced polynomials are equal iff they induce the same
 function (Lidl & Niederreiter, Finite Fields, ch. 7).  Polynomials in
 z = x^e, e | Q - 1, live in a smaller ring: with M = (Q - 1)/e, z -> x^e is
 a ring homomorphism F[z]/(z^(M+1) - z) -> F[x]/(x^Q - x), as
-x^(e(M+1)) = x^(Q-1+e) = x^e, and it keeps reduced representatives reduced
-(degree <= eM = Q - 1).  As z^(M+1) - z splits into distinct linear factors
-over {0} and the cycle mu_M of g^e (g the table generator), such a
-polynomial is fixed by its values there; Poly.from_cycle interpolates them
-by a chirp correlation read from one cyclic convolution (_cycle_coeffs).
-Poly.interpolate first reads the table's own cycle: the largest e | Q - 1
-with F(0) = 0 and F(zeta y) = zeta F(y) for every zeta in mu_e, one vector
-compare per prime power of Q - 1 (_symmetry).  Then F(y) = y W(y^e) with
-W(g^(ej)) = F(g^j) / g^j, so it transforms (Q - 1)/e values, and a table
-with no symmetry (e = 1) the whole group.  The inverse of x h(x^s) has
-this form for the e that family.ClosedInverse.as_poly reads off its terms,
-so where the table has no further symmetry the two share one cycle and one
-plan.  The chirp, the transform length and the spectrum of the correlation
-kernel depend only on the field and e: they are built on the first call into
-a _ChirpPlan, kept per e for as long as the field's tables live, so a later
-call gathers and transforms its values only.
+x^(e(M+1)) = x^(Q-1+e) = x^e.  As z^(M+1) - z splits into distinct linear
+factors over {0} and the cycle mu_M of g^e (g the table generator), such a
+polynomial is fixed by its values there.  Every interpolant here has the
+one shape F(0) + y W(y^e) with W(0) = 0: Poly.from_cycle reads W from its
+values on mu_M by a chirp correlation of one cyclic convolution
+(_cycle_coeffs) and scatters it, reduced, onto the exponents 1 + ek.
+Poly.interpolate first reads the table's own cycle: for G = F - F(0), the
+largest e | Q - 1 with G(zeta y) = zeta G(y) for every zeta in mu_e, one
+vector compare per prime power of Q - 1 (_symmetry).  Then G(y) = y W(y^e)
+with W(g^(ej)) = G(g^j) / g^j, so it transforms (Q - 1)/e values, and a
+table with no symmetry (e = 1) the whole group.  The inverse of x h(x^s)
+has this shape, with F(0) = 0, for the e that family.ClosedInverse.as_poly
+reads off its terms, so where the table has no further symmetry the two
+share one cycle and one plan.  The chirp, the transform length and the
+spectrum of the correlation kernel depend only on the field and e: they are
+built on the first call into a _ChirpPlan, kept per e for as long as the
+field's tables live, so a later call gathers and transforms its values only.
 A plan holds D r spectrum rows of N/2 + 1 complex entries (r limbs per
 digit, N the power of two >= 2M - 1), 16 MiB for e = 1 at 2^16.  Every
 operation, interpolation included, reads the field's dense tables and is
@@ -78,8 +79,8 @@ def _limb_bits(p: int, r: int) -> int:
     return -(-(p - 1).bit_length() // r)
 
 
-def _limb_split(p: int, digits: int, la: int, lb: int) -> tuple[int, int]:
-    """Fewest limbs r, and their bit width, that keep an FFT product exact.
+def _limb_split(p: int, digits: int, la: int, lb: int) -> int:
+    """Fewest limbs r that keep an FFT product exact.
 
     Each base-p digit is split into r limbs of ceil(log2 p / r) bits.  By
     Percival's bound (Math. Comp. 72 (2003) 387-395), a float64 FFT
@@ -101,7 +102,7 @@ def _limb_split(p: int, digits: int, la: int, lb: int) -> tuple[int, int]:
         terms = digits * r
         grow = math.expm1((6 * n + terms) * math.log1p(eps) + (3 * n + 1) * math.log1p(eps * math.sqrt(5)))
         if terms * top * top * math.sqrt(la * lb) * grow < 0.25:
-            return r, bits
+            return r
     raise ValueError("polynomials too long for an exact float64 product")
 
 
@@ -258,7 +259,7 @@ class Poly:
             return Poly(f)
         la, lb = len(self.idx), len(other.idx)
         size = 1 << (la + lb - 2).bit_length()
-        r, _ = _limb_split(f.p, f.degree, la, lb)
+        r = _limb_split(f.p, f.degree, la, lb)
         A, B = _transform(f, self.idx, size, r), _transform(f, other.idx, size, r)
         return Poly(f, _convolve(f, A, B, size, slice(la + lb - 1)))
 
@@ -306,29 +307,28 @@ class Poly:
     def interpolate(cls, field: Field, images) -> "Poly":
         """Unique polynomial of degree < Q taking the value images[x] at each x.
 
-        images holds the Q integer image indices in index order.  First the
-        table's own cycle: e, the largest divisor of L = Q - 1 with F(0) = 0
-        and F(zeta y) = zeta F(y) for every unit y and zeta in mu_e
-        (_symmetry).  Then F(y) = y W(y^e), W(g^(ej)) = F(g^j) / g^j for
-        j < L/e, so from_cycle transforms L/e values, shifted by y and
-        reduced as in family.ClosedInverse.as_poly.  A table with no such
-        symmetry (e = 1) is from_cycle on the whole unit group.
+        images holds the Q integer image indices in index order.  For
+        G = F - F(0), e is the largest divisor of L = Q - 1 with G(zeta y) =
+        zeta G(y) for every unit y and zeta in mu_e (_symmetry).  Then G(y) =
+        y W(y^e) with W(g^(ej)) = G(g^j) / g^j, so from_cycle transforms L/e values.
         """
         y_by_x = check_images(field, images)
         T, L = field.tables, field.order - 1
-        units = y_by_x[T.exp[:L]]
-        e = _symmetry(field, y_by_x[0], units)
-        if e == 1:
-            return cls.from_cycle(field, y_by_x[0], units, 1)
+        G = T.sub(y_by_x[T.exp[:L]], y_by_x[0])  # on the units, in generator order
+        e = _symmetry(field, G)
         M = L // e
-        w = T.mul(units[:M], T.inv[T.exp[:M]])
-        return cls.from_cycle(field, 0, w, e).shift(1).reduce()
+        return cls.from_cycle(field, y_by_x[0], T.mul(G[:M], T.inv[T.exp[:M]]), e)
 
     @classmethod
     def from_cycle(cls, field: Field, at_zero, values: np.ndarray, e: int) -> "Poly":
-        """W(x^e) for the W of degree <= M = (Q - 1)/e with W(0) = at_zero and
-        W(g^(ej)) = values[j] for j < M, g the table generator (_cycle_coeffs)."""
-        return _spread(cls(field, _cycle_coeffs(field, at_zero, values, e)), e)
+        """The reduced at_zero + y W(y^e), for the W of degree <= M = (Q - 1)/e
+        with W(0) = 0 and W(g^(ej)) = values[j] for j < M, g the table
+        generator (_cycle_coeffs).  w_k lands on y^(1 + ek) for 0 < k < M, and
+        the y^Q term w_M folds onto y."""
+        out = np.zeros(field.order, dtype=np.int64)
+        out[0] = at_zero
+        out[1::e] = np.roll(_cycle_coeffs(field, values, e), 1)
+        return cls(field, out)
 
 
 class _ChirpPlan:
@@ -351,7 +351,7 @@ class _ChirpPlan:
         # a reversed times b_1 .. b_(2M-1) has coefficient M - 2 + k = sum_j a_j b_(j+k);
         # the 3M - 2 coefficients, cyclic at length N >= 2M - 1, wrap only below M - 1
         self.size = 1 << (2 * M - 2).bit_length()
-        self.limbs, _ = _limb_split(field.p, field.degree, M, 2 * M - 1)
+        self.limbs = _limb_split(field.p, field.degree, M, 2 * M - 1)
         self.kernel = _transform(field, T.inv[chirp[1:]], self.size, self.limbs)
 
 
@@ -360,20 +360,20 @@ class _ChirpPlan:
 _plans = weakref.WeakKeyDictionary()
 
 
-def _cycle_coeffs(field: Field, at_zero, values: np.ndarray, e: int) -> np.ndarray:
-    """Coefficients w_0 .. w_M of the W of degree <= M = (Q - 1)/e with W(0) =
-    at_zero and W(g^(ej)) = values[j] for j < M, g the table generator.
+def _cycle_coeffs(field: Field, values: np.ndarray, e: int) -> np.ndarray:
+    """Coefficients w_1 .. w_M of the W of degree <= M = (Q - 1)/e with W(0) =
+    0 and W(g^(ej)) = values[j] for j < M, g the table generator.
 
     z^(M+1) - z splits into distinct linear factors over {0} and the cycle
     mu_M of h = g^e, so W is unique.  Inverting the DFT on mu_M (Lidl &
     Niederreiter, Finite Fields, ch. 7; 1/M = -e in F_p, as eM = Q - 1)
-    gives w_0 = W(0), w_k = -e S_k for 0 < k < M and w_M = -e S_M - W(0),
-    S_k = sum_(j<M) W(h^j) h^(-jk).  As -jk = C(j,2) + C(k,2) - C(j+k,2)
-    (Bluestein's chirp), S_k is h^C(k,2) times the correlation
-    sum_j a_j b_(j+k) of a_j = W(h^j) h^C(j,2) and b_m = h^-C(m,2), taken as
-    one cyclic FFT product (a middle product: Hanrot, Quercia and
-    Zimmermann, AAECC 14 (2004)).  Everything but a depends on the field and
-    e alone and is kept in a _ChirpPlan, so a call transforms a only.
+    gives w_k = -e S_k, S_k = sum_(j<M) W(h^j) h^(-jk).  As -jk = C(j,2) +
+    C(k,2) - C(j+k,2) (Bluestein's chirp), S_k is h^C(k,2) times the
+    correlation sum_j a_j b_(j+k) of a_j = W(h^j) h^C(j,2) and b_m =
+    h^-C(m,2), taken as one cyclic FFT product (a middle product: Hanrot,
+    Quercia and Zimmermann, AAECC 14 (2004)).  Everything but a depends on
+    the field and e alone and is kept in a _ChirpPlan, so a call transforms
+    a only.
     """
     T = field.tables
     plans = _plans.setdefault(T, {})
@@ -383,15 +383,12 @@ def _cycle_coeffs(field: Field, at_zero, values: np.ndarray, e: int) -> np.ndarr
     M = len(plan.head)
     a = _transform(field, T.mul(values, plan.head)[::-1], plan.size, plan.limbs)
     sums = _convolve(field, a, plan.kernel, plan.size, slice(M - 1, 2 * M - 1))
-    w = T.mul(sums, plan.tail)
-    w[-1] = T.sub(w[-1], at_zero)
-    return np.concatenate([[at_zero], w])
+    return T.mul(sums, plan.tail)
 
 
-def _symmetry(field: Field, at_zero, units: np.ndarray) -> int:
-    """The largest e | L = Q - 1 with F(0) = 0 and F(zeta y) = zeta F(y) for
-    every unit y and zeta in mu_e, F the table with F(0) = at_zero and
-    F(g^j) = units[j].
+def _symmetry(field: Field, units: np.ndarray) -> int:
+    """The largest e | L = Q - 1 with F(zeta y) = zeta F(y) for every unit y
+    and zeta in mu_e, F the table with F(g^j) = units[j].
 
     The zeta with F(zeta y) = zeta F(y) for all y form a subgroup of the
     cyclic unit group, mu_e, and mu_e is the product of its parts mu_(q^i),
@@ -399,8 +396,6 @@ def _symmetry(field: Field, at_zero, units: np.ndarray) -> int:
     generator of mu_(q^i), passes: one compare of the units rolled by L/q^i
     against the units times g^(L/q^i).
     """
-    if at_zero:
-        return 1
     T, L = field.tables, len(units)
     e = 1
     for q in prime_factors(L):
@@ -409,13 +404,6 @@ def _symmetry(field: Field, at_zero, units: np.ndarray) -> int:
             k *= q
         e *= k // q
     return e
-
-
-def _spread(z: Poly, e: int) -> Poly:
-    """z(x^e): coefficient j moves to j e."""
-    out = np.zeros((len(z.idx), e), dtype=np.int64)
-    out[:, 0] = z.idx
-    return Poly(z.field, out.ravel())
 
 
 def poly_from_terms(field: Field, terms) -> Poly:

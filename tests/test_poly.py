@@ -214,7 +214,7 @@ def longest_single_limb(p, degree, cap):
     lo, hi = 1, cap
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _limb_split(p, degree, mid, mid)[0] == 1:
+        if _limb_split(p, degree, mid, mid) == 1:
             lo = mid
         else:
             hi = mid - 1
@@ -231,10 +231,10 @@ def test_fft_product_matches_schoolbook(spec):
     # reduced operands are at most Q long; 4096 keeps the reference quick
     cap = min(Q, 4096)
     top = longest_single_limb(p, D, cap)
-    assert _limb_split(p, D, top, top)[0] == 1
+    assert _limb_split(p, D, top, top) == 1
     if p > 1000:  # the two large primes need limbs, even below Q
-        assert top < cap and _limb_split(p, D, top + 1, top + 1)[0] > 1
-        assert _limb_split(p, D, Q, Q)[0] > 1
+        assert top < cap and _limb_split(p, D, top + 1, top + 1) > 1
+        assert _limb_split(p, D, Q, Q) > 1
     worst = np.full(cap, Q - 1, dtype=np.int64)  # every digit p - 1
     cases = [
         (worst[:1], worst[:1]),
@@ -427,7 +427,9 @@ def _cyclotomic_table(field, k, rng):
 
 
 def _table_symmetry(field, table):
-    return _symmetry(field, table[0], table[field.tables.exp[:field.order - 1]])
+    """_symmetry of G = F - F(0) on the units."""
+    T = field.tables
+    return _symmetry(field, T.sub(table[T.exp[:field.order - 1]], table[0]))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -445,7 +447,8 @@ def _table_symmetry(field, table):
 def test_interpolate_on_the_table_cycle(split, k, seed):
     # k becomes a divisor of L; the table's own e is a multiple of it (W may
     # have more symmetry by chance), one changed unit entry leaves no zeta of
-    # mu_e, and F(0) != 0 leaves e = 1
+    # mu_e, a changed F(0) alone leaves e = 1, and a constant added at every
+    # point keeps the cycle of G = F - F(0)
     field = Field(*split)
     L = field.order - 1
     k = math.gcd(k, L)
@@ -461,7 +464,9 @@ def test_interpolate_on_the_table_cycle(split, k, seed):
     moved = table.copy()
     moved[0] = rng.integers(1, field.order)
     assert _table_symmetry(field, moved) == 1
-    for case in (table, changed, moved):
+    lifted = field.tables.add(table, rng.integers(1, field.order))
+    assert _table_symmetry(field, lifted) % k == 0
+    for case in (table, changed, moved, lifted):
         assert Poly.interpolate(field, case) == group_sum_interpolate(field, case)
 
 
@@ -477,13 +482,20 @@ def test_cycle_coeffs_on_every_subgroup(spec):
     for _ in range(2):
         for e in divisors:
             M = L // e
-            at_zero, values = rng.integers(0, field.order), rng.integers(0, field.order, M)
-            coeffs = _cycle_coeffs(field, at_zero, values, e)
-            assert np.array_equal(coeffs, group_sum_cycle(field, at_zero, values, e)), e
-            W = Poly(field, coeffs)
+            c, values = rng.integers(0, field.order), rng.integers(0, field.order, M)
+            coeffs = _cycle_coeffs(field, values, e)
+            assert np.array_equal(coeffs, group_sum_cycle(field, 0, values, e)[1:]), e
+            W = Poly(field, np.concatenate([[0], coeffs]))
             assert W.degree <= M
-            assert W(field.zero).index == at_zero
             assert np.array_equal(W(field.element(T.exp[e * np.arange(M)])).index, values), e
+            # c + y W(y^e): c at 0, c + g^j values[j mod M] at g^j
+            F = Poly.from_cycle(field, c, values, e)
+            assert F.degree < field.order
+            got = F(field.all_elements()).index
+            want = np.empty(field.order, dtype=np.int64)
+            want[0] = c
+            want[T.exp[:L]] = T.add(c, T.mul(T.exp[:L], values[np.arange(L) % M]))
+            assert np.array_equal(got, want), e
         assert sorted(ppinv.poly._plans[T]) == divisors
 
 
@@ -572,7 +584,7 @@ def test_interpolant_reproduces_table(spec):
     # digits below 2048, which still fit one limb
     field = Field(*spec)
     L = field.order - 1
-    assert _limb_split(field.p, field.degree, L, 2 * L)[0] == 1
+    assert _limb_split(field.p, field.degree, L, 2 * L) == 1
     table = np.random.default_rng(field.order).integers(0, field.order, field.order)
     table[0] = 1
     poly = Poly.interpolate(field, table)
