@@ -109,12 +109,9 @@ def cmd_invert(args) -> int:
     a = _parse_element(field, args.a, args.coeffs)
     form = None
     if args.special is not None:  # a malformed request exits 2 whatever the verdict on a
-        form = (
-            special.route_special(field, params.m, params.s, params.t)
-            if args.special == "auto"
-            else args.special
-        )
-        if form and form not in special.applicable_forms(field, params.m, params.s, params.t):
+        forms = special.applicable_forms(field, params.m, params.s, params.t)
+        form = (forms[0] if forms else None) if args.special == "auto" else args.special
+        if form and form not in forms:
             print(f"error: specialised form {form} not applicable to (m, s, t) = "
                   f"({params.m}, {params.s}, {params.t}) over GF({field.descriptor()})", file=sys.stderr)
             return 2

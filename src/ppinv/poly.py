@@ -166,20 +166,6 @@ class Poly:
         nz = np.nonzero(arr)[0]
         self.idx = arr[: nz[-1] + 1].copy() if len(nz) else np.empty(0, dtype=np.int64)
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, field: Field) -> "Poly":
-        return cls(field)
-
-    @classmethod
-    def one(cls, field: Field) -> "Poly":
-        return cls(field, [1])
-
-    @classmethod
-    def x(cls, field: Field) -> "Poly":
-        return cls(field, [0, 1])
-
     # -- basics ---------------------------------------------------------------
 
     @property
@@ -218,37 +204,6 @@ class Poly:
         return acc
 
     # -- ring operations --------------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if other.field != self.field:
-            raise TypeError("mixed fields")
-        a, b = self.idx, other.idx
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 0:
-            return Poly(self.field, a)
-        T = self.field.tables
-        out = a.copy()
-        out[: len(b)] = T.add(a[: len(b)], b)
-        return Poly(self.field, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.field, self.field.tables.neg[self.idx])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def scale(self, c) -> "Poly":
-        c = self.field.element(c)
-        if not c or not self:
-            return Poly(self.field)
-        return Poly(self.field, self.field.tables.mul(self.idx, np.int64(c.index)))
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if not self:
-            return Poly(self.field)
-        return Poly(self.field, np.concatenate([np.zeros(k, dtype=np.int64), self.idx]))
 
     def __mul__(self, other: "Poly") -> "Poly":
         """Plain (unreduced) product: one _convolve long enough not to wrap."""
@@ -292,7 +247,7 @@ class Poly:
         k = operator.index(k)
         if k < 0:
             raise ValueError("negative exponent")
-        result, base = Poly.one(self.field), self.reduce()
+        result, base = Poly(self.field, [1]), self.reduce()
         while k:
             if k & 1:
                 result = (result * base).reduce()
