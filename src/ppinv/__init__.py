@@ -13,12 +13,11 @@ from .gf import Field, FieldElement
 from .oracle import (
     CapExceededError,
     PermTable,
-    check_composition_identity,
     inverse_poly_by_interpolation,
     oracle_cap,
     tabulate,
 )
-from .poly import Poly, family_poly
+from .poly import Poly
 
 __version__ = "0.1.0"
 
@@ -31,8 +30,6 @@ __all__ = [
     "PPParams",
     "PermTable",
     "Poly",
-    "check_composition_identity",
-    "family_poly",
     "gcd_halfpower",
     "inverse_poly_by_interpolation",
     "linearized_inverse",

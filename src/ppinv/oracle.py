@@ -1,8 +1,10 @@
 """Brute-force ground truth: evaluation tables, bijectivity, table inversion.
 
-Everything here is exhaustive and capped: entry points refuse fields larger
-than the oracle cap (default 2^16, overridable via PPINV_ORACLE_CAP or a
-per-call argument) so a misconfigured sweep fails fast.
+Only tabulate and check_cap's callers (verify.check_family, hence the survey)
+refuse a field above the oracle cap (default 2^16, overridable via
+PPINV_ORACLE_CAP or a per-call argument), so a misconfigured sweep fails
+fast; PermTable, bijection_mask and inverse_poly_by_interpolation are
+bounded only by gf.TABLE_LIMIT.
 """
 
 from __future__ import annotations
@@ -106,8 +108,3 @@ def inverse_poly_by_interpolation(table: PermTable) -> Poly:
     """
     return Poly.interpolate(table.field, table.inverted().images)
 
-
-def check_composition_identity(field: Field, f, g, cap: int | None = None) -> bool:
-    """True iff g(f(x)) = x for every x in the field."""
-    check_cap(field, cap)
-    return all(g(f(x)) == x for x in field.elements())

@@ -57,23 +57,6 @@ def check_images(field: Field, images) -> np.ndarray:
     return table.astype(np.int64, copy=False)
 
 
-def _comb_mod_p(t: int, k: int, p: int) -> int:
-    """Binomial coefficient C(t, k) mod p via base-p digits (Lucas)."""
-    out = 1
-    while t or k:
-        td, kd = t % p, k % p
-        if kd > td:
-            return 0
-        num = den = 1
-        for i in range(kd):
-            num = num * (td - i) % p
-            den = den * (i + 1) % p
-        out = out * num * pow(den, -1, p) % p
-        t //= p
-        k //= p
-    return out
-
-
 def _limb_bits(p: int, r: int) -> int:
     """Bit width of each of the r limbs a base-p digit is split into."""
     return -(-(p - 1).bit_length() // r)
@@ -377,22 +360,3 @@ def poly_from_terms(field: Field, terms) -> Poly:
     np.add.at(acc, exps, T.dig[coeffs])
     return Poly(field, (acc % field.p) @ T.pw)
 
-
-def family_poly(field: Field, s: int, t: int, a: FieldElement) -> Poly:
-    """Coefficient form of x * (x^s - a)^t via binomial expansion.
-
-    Returned as the literal degree-(st+1) expansion; reduce() folds it mod
-    x^Q - x when a canonical representative is needed.
-    """
-    if s < 1 or t < 1:
-        raise ValueError("family exponents must be positive")
-    a = field.element(a)
-    if not a:
-        raise ValueError("family constant a must be nonzero")
-    na = -a
-    arr = np.zeros(s * t + 2, dtype=np.int64)
-    for k in range(t + 1):
-        c = _comb_mod_p(t, k, field.p)
-        coeff = (na ** k) * field.element(c)
-        arr[1 + s * (t - k)] = coeff.index
-    return Poly(field, arr)

@@ -163,12 +163,6 @@ def applicable_forms(field: Field, m: int, s: int, t: int) -> list[str]:
     return forms
 
 
-def route_special(field: Field, m: int, s: int, t: int) -> str | None:
-    """Name of the most specific applicable form, or None for the general path."""
-    forms = applicable_forms(field, m, s, t)
-    return forms[0] if forms else None
-
-
 def evaluate_special(name: str, field: Field, m: int, a, x) -> FieldElement:
     if name == "cor3":
         return gf5_s2t2_inverse(field, a, x)

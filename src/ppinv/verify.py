@@ -88,12 +88,15 @@ def check_family(
     at most CHUNK points, or one row when Q > CHUNK.  Per chunk, one array
     inverse_value call gives the inverse of every a that passes both the
     criterion and the oracle; the two-sided check, the special form and the
-    symbolic comparison all read that a's row of it.
+    symbolic comparison all read that a's row of it.  symbolic_ok shares
+    _cycle_coeffs and its _ChirpPlan with inverse_polynomial, so it cannot
+    see a defect in that transform.
     """
     field = params.field
     check_cap(field, cap)
     a_sel = params.a_indices(a_indices)
-    form = special.route_special(field, params.m, params.s, params.t) if with_special else None
+    forms = special.applicable_forms(field, params.m, params.s, params.t) if with_special else []
+    form = forms[0] if forms else None
     step = max(1, CHUNK // field.order)
     results = []
     for start in range(0, len(a_sel), step):

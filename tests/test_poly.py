@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ppinv.family import PPParams
 from ppinv.gf import Field, is_prime
-from ppinv.poly import Poly, family_poly, poly_from_terms, _comb_mod_p, _cycle_coeffs, _limb_split, _symmetry
+from ppinv.poly import Poly, poly_from_terms, _cycle_coeffs, _limb_split, _symmetry
 from ppinv.verify import field_splits
 
 
@@ -130,37 +130,6 @@ def test_interpolate_rejects_bad_tables():
         with pytest.raises(TypeError, match="integer"):
             Poly.interpolate(F5, bad)
     assert Poly.interpolate(F5, np.arange(5, dtype=np.uint8)) == Poly(F5, [0, 1])
-
-
-def test_family_poly_pinned():
-    F5 = Field(5)
-    assert family_poly(F5, 2, 2, F5(2)) == Poly(F5, [0, 4, 0, 1, 0, 1])
-    F7 = Field(7)
-    assert family_poly(F7, 3, 2, F7(2)) == Poly(F7, [0, 4, 0, 0, 3, 0, 0, 1])
-    # t = 1 collapses to the linearized binomial x^{q^m} - a x
-    assert family_poly(F5, 4, 1, F5(2)) == Poly(F5, [0, 3, 0, 0, 0, 1])
-    with pytest.raises(ValueError):
-        family_poly(F5, 2, 2, F5(0))
-    with pytest.raises(ValueError):
-        family_poly(F5, 0, 2, F5(2))
-
-
-def test_family_poly_matches_direct_evaluation():
-    for spec, s, t in [((3, 1, 2), 2, 4), ((5, 1, 1), 4, 1), ((2, 2, 1), 1, 3)]:
-        F = Field(*spec)
-        for a in list(F.elements())[1:]:
-            p = family_poly(F, s, t, a)
-            for x in F.elements():
-                assert p(x) == x * (x ** s - a) ** t
-
-
-def test_comb_mod_p():
-    from math import comb
-
-    for p in (2, 3, 5, 7):
-        for t in range(0, 40):
-            for k in range(0, t + 1):
-                assert _comb_mod_p(t, k, p) == comb(t, k) % p
 
 
 def test_text_round_trip():

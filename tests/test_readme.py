@@ -35,3 +35,5 @@ def test_quick_tour_states_its_values():
     assert values["params.inverse_value(a, ys).index"].tolist() == [0, 1, 3, 2, 4]
     criterion = "params.criterion_power(field.element(np.arange(1, 5))) != field.one"
     assert values[criterion].tolist() == [False, True, True, False]
+    assert values["tabulate(field, lambda x: params.evaluate(a, x)).is_bijection()"] is True
+    assert values["linearized_inverse(field, 1, a)"] == Poly(field, [0, 4])  # -x

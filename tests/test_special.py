@@ -15,7 +15,6 @@ from ppinv.special import (
     gf7_s2t3_inverse,
     gf7_s3t2_inverse,
     multinomial_sum,
-    route_special,
     t2_inverse,
 )
 from ppinv.verify import factor_pairs, field_splits
@@ -199,17 +198,17 @@ def test_cube_root_identities_behind_gf7_prefactor():
 
 
 def test_routing():
-    assert route_special(Field(5, 1, 1), 1, 2, 2) == "cor3"
-    assert route_special(Field(5, 1, 3), 1, 2, 2) == "cor3"
-    assert route_special(Field(7, 1, 2), 1, 3, 2) == "cor4"
-    assert route_special(Field(7, 1, 1), 1, 2, 3) == "cor5"
-    assert route_special(Field(11, 1, 2), 1, 5, 2) == "thm31"
-    assert route_special(Field(3, 1, 3), 2, 4, 2) == "thm31"
-    assert route_special(Field(2, 1, 4), 2, 1, 3) is None    # even q
-    assert route_special(Field(5, 1, 2), 2, 12, 2) is None   # t=2 but m = n
-    assert route_special(Field(5, 1, 1), 1, 4, 1) is None    # t = 1
-    assert route_special(Field(5, 2, 1), 1, 2, 2) is None    # e != 1 blocks cor3; m=n blocks thm31
-    # every applicable form, most specific first; route_special takes the first
+    # every applicable form, most specific first; auto routing takes the first
+    assert applicable_forms(Field(5, 1, 1), 1, 2, 2)[0] == "cor3"
+    assert applicable_forms(Field(5, 1, 3), 1, 2, 2)[0] == "cor3"
+    assert applicable_forms(Field(7, 1, 2), 1, 3, 2)[0] == "cor4"
+    assert applicable_forms(Field(7, 1, 1), 1, 2, 3)[0] == "cor5"
+    assert applicable_forms(Field(11, 1, 2), 1, 5, 2)[0] == "thm31"
+    assert applicable_forms(Field(3, 1, 3), 2, 4, 2)[0] == "thm31"
+    assert applicable_forms(Field(2, 1, 4), 2, 1, 3) == []    # even q
+    assert applicable_forms(Field(5, 1, 2), 2, 12, 2) == []   # t=2 but m = n
+    assert applicable_forms(Field(5, 1, 1), 1, 4, 1) == []    # t = 1
+    assert applicable_forms(Field(5, 2, 1), 1, 2, 2) == []    # e != 1 blocks cor3; m=n blocks thm31
     assert applicable_forms(Field(5, 1, 3), 1, 2, 2) == ["cor3", "thm31"]
     assert applicable_forms(Field(7, 1, 2), 1, 3, 2) == ["cor4", "thm31"]
     assert applicable_forms(Field(7, 1, 1), 1, 2, 3) == ["cor5"]
@@ -217,7 +216,7 @@ def test_routing():
 
 
 def test_special_forms_on_arrays_match_scalars():
-    """Each routed form on the whole-field array equals its per-y scalar values."""
+    """Each applicable form on the whole-field array equals its per-y scalar values."""
     rng = np.random.default_rng(20181231)
     forms = set()
     for split in field_splits(343):
@@ -226,14 +225,15 @@ def test_special_forms_on_arrays_match_scalars():
         bare._scalar = bare._kernel  # scalars on the packed kernel, apart from the tables
         for m in range(1, field.n + 1):
             for s, t in factor_pairs(field.q ** m - 1):
-                form = route_special(field, m, s, t)
-                if not form:
+                applicable = applicable_forms(field, m, s, t)
+                if not applicable:
                     continue
                 params = PPParams(field, m, s, t)
                 pp = [a for a in range(1, field.order) if params.is_permutation(a)]
-                for a in rng.choice(pp, size=min(3, len(pp)), replace=False).tolist():
-                    got = evaluate_special(form, field, m, field(a), field.all_elements())
-                    want = [evaluate_special(form, bare, m, bare(a), bare(y)).index for y in range(field.order)]
-                    assert got.index.tolist() == want, (form, split, m, a)
-                forms.add(form)
+                for form in applicable:
+                    for a in rng.choice(pp, size=min(3, len(pp)), replace=False).tolist():
+                        got = evaluate_special(form, field, m, field(a), field.all_elements())
+                        want = [evaluate_special(form, bare, m, bare(a), bare(y)).index for y in range(field.order)]
+                        assert got.index.tolist() == want, (form, split, m, a)
+                    forms.add(form)
     assert forms == {"cor3", "cor4", "cor5", "thm31"}

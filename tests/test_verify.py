@@ -116,7 +116,8 @@ def test_check_family_selection_and_cap():
 def per_a_family(params, a_sel, symbolic=False, with_special=False):
     """check_family's records, built one a at a time with no batching."""
     field = params.field
-    form = special.route_special(field, params.m, params.s, params.t) if with_special else None
+    forms = special.applicable_forms(field, params.m, params.s, params.t) if with_special else []
+    form = forms[0] if forms else None
     points = field.all_elements()
     xs = points.index
     out = []
