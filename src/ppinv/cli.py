@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--symbolic", action="store_true",
                        help="print the reduced coefficient vector of the inverse")
     p_inv.add_argument("--special", default=None,
-                       choices=("auto", "thm31", "cor3", "cor4", "cor5"),
+                       choices=("auto", *special.FORMS),
                        help="route --at evaluation through a specialised formula")
 
     p_ver = subs.add_parser("verify", help="criterion vs oracle, composition laws, symbolic check")

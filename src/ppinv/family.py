@@ -14,19 +14,12 @@ import math
 
 import numpy as np
 
-from .gf import Field, FieldElement
+from .gf import Field, FieldElement, exact_div
 from .poly import Poly, poly_from_terms
 
 
 class NotPermutationError(ValueError):
     """An inverse was requested where the permutation criterion fails."""
-
-
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise AssertionError(f"{num} not divisible by {den}")
-    return q
 
 
 def frobenius_chain(term: FieldElement, w, qm: int, count: int):
@@ -89,7 +82,7 @@ class PPParams:
         q = field.q
         nd = field.n // self.d
         # the exponents (q^{(i-1)m}-1)/t of y in h, i = 1..n/d
-        self._G = [_exact_div(q ** ((i - 1) * m) - 1, t) for i in range(1, nd + 1)]
+        self._G = [exact_div(q ** ((i - 1) * m) - 1, t) for i in range(1, nd + 1)]
         self._norm_exp = field.norm_exponent(self.d)
         self._crit_exp = group // self.s_bar
 
@@ -107,12 +100,6 @@ class PPParams:
 
     # -- operations on an element or an index-array element ---------------------
 
-    def _unit(self, a) -> FieldElement:
-        a = self.field.element(a)
-        if not (a.index.all() if isinstance(a.index, np.ndarray) else a.index):
-            raise ValueError("a must be nonzero")
-        return a
-
     def _permuting(self, a) -> tuple[FieldElement, FieldElement, FieldElement]:
         """a as a unit, its norm N(a) onto the subfield of order q^d, and the
         criterion power a^((q^n-1)/s_bar) = N(a)^((q^d-1)/s_bar), as s_bar | q^d-1.
@@ -122,7 +109,7 @@ class PPParams:
         An index-array a is rejected if any of its entries fails, naming the
         first one.
         """
-        a = self._unit(a)
+        a = self.field.unit(a)
         n_a = a ** self._norm_exp
         crit = n_a ** (self._crit_exp // self._norm_exp)
         fails = crit == self.field.one
@@ -139,14 +126,14 @@ class PPParams:
 
     def criterion_power(self, a) -> FieldElement:
         """a^((q^n-1)/s_bar); f permutes the field iff this is not 1."""
-        return self._unit(a) ** self._crit_exp
+        return self.field.unit(a) ** self._crit_exp
 
     def is_permutation(self, a) -> bool:
         return self.criterion_power(a) != self.field.one
 
     def evaluate(self, a, x) -> FieldElement:
         """f(x) = x (x^s - a)^t."""
-        a = self._unit(a)
+        a = self.field.unit(a)
         x = self.field.element(x)
         return x * (x ** self.s - a) ** self.t
 
@@ -164,7 +151,7 @@ class PPParams:
         Frobenius maps (see ``gf._PackedKernel``).
         """
         y = self.field.element(y)
-        return frobenius_sum(*self._h_chain(self._unit(a).inverse(), y ** self.s))
+        return frobenius_sum(*self._h_chain(self.field.unit(a).inverse(), y ** self.s))
 
     def inverse_value(self, a, y) -> FieldElement:
         """Pointwise inverse: the unique x with f(x) = y.
@@ -299,7 +286,8 @@ class ClosedInverse:
 
 def linearized_poly(field: Field, m: int, a) -> Poly:
     """Coefficients of L(x) = x^{q^m} - ax, folded mod x^Q - x."""
-    a = PPParams(field, m, field.q ** m - 1, 1)._unit(a)
+    PPParams(field, m, field.q ** m - 1, 1)  # checks m
+    a = field.unit(a)
     return poly_from_terms(field, [(1, -a), (field.q ** m, field.one)])
 
 

@@ -47,6 +47,14 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def exact_div(num: int, den: int) -> int:
+    """num / den, which must be exact."""
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError(f"{num} not divisible by {den}")
+    return q
+
+
 def is_prime(n: int) -> bool:
     """Primality by trial division: at most ~2 ms up to MAX_ORDER."""
     return n > 1 and prime_factors(n) == [n]
@@ -565,6 +573,13 @@ class Field:
         return self.from_coeffs(value)
 
     __call__ = element
+
+    def unit(self, a) -> FieldElement:
+        """a as an element, which must be nonzero (every entry, for an index array)."""
+        a = self.element(a)
+        if not (a.index.all() if isinstance(a.index, np.ndarray) else a.index):
+            raise ValueError("a must be nonzero")
+        return a
 
     def from_coeffs(self, coeffs) -> FieldElement:
         coeffs = [operator.index(c) for c in coeffs]  # TypeError on floats

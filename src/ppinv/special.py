@@ -11,22 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .gf import Field, FieldElement
+from .gf import Field, FieldElement, exact_div
 from .family import NotPermutationError
-
-
-def _exact(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise AssertionError(f"{num} not divisible by {den}")
-    return q
-
-
-def _unit(field: Field, a) -> FieldElement:
-    a = field.element(a)
-    if not a:
-        raise ValueError("a must be nonzero")
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -42,15 +28,15 @@ def multinomial_sum(field: Field, m: int, a, x, t: int) -> FieldElement:
     a^{-(sum q^{(i+1)m} - t)/(q^m-1)} x^{(sum q^{im})/t}.  Both divisions are
     exact, as q^m = 1 mod t and mod q^m - 1.
     """
-    a = _unit(field, a)
+    a = field.unit(a)
     x = field.element(x)
     qm = field.q ** m
     ainv = a.inverse()
     acc = field.zero
     for idx in itertools.combinations_with_replacement(range(field.n // math.gcd(m, field.n)), t):
         weight = math.factorial(t) // math.prod(math.factorial(idx.count(i)) for i in set(idx))
-        ae = _exact(sum(qm ** (i + 1) for i in idx) - t, qm - 1)
-        xe = _exact(sum(qm ** i for i in idx), t)
+        ae = exact_div(sum(qm ** (i + 1) for i in idx) - t, qm - 1)
+        xe = exact_div(sum(qm ** i for i in idx), t)
         acc = acc + field.element(weight % field.p) * ainv ** ae * x ** xe
     return acc
 
@@ -61,11 +47,9 @@ def multinomial_sum(field: Field, m: int, a, x, t: int) -> FieldElement:
 
 def g2_value(field: Field, m: int, a, x) -> FieldElement:
     """N(a^2) + 1 + 2 N(a) x^{(q^n-1)/2}."""
-    a = _unit(field, a)
+    a = field.unit(a)
     x = field.element(x)
-    d = math.gcd(m, field.n)
-    nu = _exact(field.q ** field.n - 1, field.q ** d - 1)
-    n_a = a ** nu
+    n_a = field.norm(a, math.gcd(m, field.n))
     two = field.one + field.one
     return n_a * n_a + field.one + two * n_a * (x ** ((field.order - 1) // 2))
 
@@ -76,12 +60,11 @@ def t2_inverse(field: Field, m: int, a, x) -> FieldElement:
         raise ValueError("t = 2 form requires odd q")
     if not 1 <= m <= field.n - 1:
         raise ValueError(f"m must lie in [1, {field.n - 1}]")
-    a = _unit(field, a)
+    a = field.unit(a)
     x = field.element(x)
     d = math.gcd(m, field.n)
-    nu = _exact(field.q ** field.n - 1, field.q ** d - 1)
-    n_a = a ** nu
-    n_a2 = (a * a) ** nu
+    n_a = field.norm(a, d)
+    n_a2 = n_a * n_a  # N(a^2) = N(a)^2
     one = field.one
     if (m // d) % 2 == 0:
         if n_a == one:
@@ -95,81 +78,68 @@ def t2_inverse(field: Field, m: int, a, x) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# GF(5^n): f(x) = x^5 - 2a x^3 + a^2 x  =  x (x^2 - a)^2
+# GF(p^n) with m = 1: x (x^s - a)^t, permuting iff a is not an s-th power
 
 
-def _require_base(field: Field, p: int):
+def _corollary(field: Field, name: str, a, x) -> tuple[FieldElement, FieldElement, int]:
+    """(a, x, Q) for the form ``name`` of COROLLARIES, checking a, the field and the criterion."""
+    p, s, _, _ = COROLLARIES[name]
+    a = field.unit(a)
     if field.p != p or field.e != 1:
         raise ValueError(f"form requires a GF({p}^n) field, got GF({field.descriptor()})")
+    x = field.element(x)
+    Q = field.order
+    if a ** ((Q - 1) // s) == field.one:
+        raise NotPermutationError(f"a is a {'square' if s == 2 else 'cube'}; f is not a permutation")
+    return a, x, Q
 
 
 def gf5_s2t2_inverse(field: Field, a, x) -> FieldElement:
-    a = _unit(field, a)
-    _require_base(field, 5)
-    x = field.element(x)
-    Q = field.order
-    if a ** ((Q - 1) // 2) != -field.one:
-        raise NotPermutationError("a is a square; f is not a permutation")
+    """GF(5^n): f(x) = x^5 - 2a x^3 + a^2 x  =  x (x^2 - a)^2."""
+    a, x, Q = _corollary(field, "cor3", a, x)
     pref = field.element(2) * (a ** ((Q - 1) // 4)) * (x ** ((Q - 1) // 2))
     return pref * multinomial_sum(field, 1, a, x, 2)
 
 
-# ---------------------------------------------------------------------------
-# GF(7^n): f(x) = x^7 - 2a x^4 + a^2 x  =  x (x^3 - a)^2
-
-
 def gf7_s3t2_inverse(field: Field, a, x) -> FieldElement:
-    a = _unit(field, a)
-    _require_base(field, 7)
-    x = field.element(x)
-    Q = field.order
-    if a ** ((Q - 1) // 3) == field.one:
-        raise NotPermutationError("a is a cube; f is not a permutation")
-    ainv = a.inverse()
-    pref = field.element(4) * (a ** ((Q - 1) // 6)) * (x ** ((Q - 1) // 2)) - field.element(2) * (
-        ainv ** ((Q - 1) // 3)
-    )
+    """GF(7^n): f(x) = x^7 - 2a x^4 + a^2 x  =  x (x^3 - a)^2."""
+    a, x, Q = _corollary(field, "cor4", a, x)
+    pref = (field.element(4) * (a ** ((Q - 1) // 6)) * (x ** ((Q - 1) // 2))
+            - field.element(2) * (a.inverse() ** ((Q - 1) // 3)))
     return pref * multinomial_sum(field, 1, a, x, 2)
 
 
-# ---------------------------------------------------------------------------
-# GF(7^n): f(x) = x^7 - 3a x^5 + 3a^2 x^3 - a^3 x  =  x (x^2 - a)^3
-
-
 def gf7_s2t3_inverse(field: Field, a, x) -> FieldElement:
-    a = _unit(field, a)
-    _require_base(field, 7)
-    x = field.element(x)
-    Q = field.order
-    if a ** ((Q - 1) // 2) != -field.one:
-        raise NotPermutationError("a is a square; f is not a permutation")
+    """GF(7^n): f(x) = x^7 - 3a x^5 + 3a^2 x^3 - a^3 x  =  x (x^2 - a)^3."""
+    a, x, Q = _corollary(field, "cor5", a, x)
     three = field.element(3)
     two = field.element(2)
-    x4 = x ** 4
-    pref = three * ((a * x4) ** ((Q - 1) // 6)) - three * ((a * x) ** ((Q - 1) // 3)) - two
+    pref = three * ((a * x ** 4) ** ((Q - 1) // 6)) - three * ((a * x) ** ((Q - 1) // 3)) - two
     return pref * multinomial_sum(field, 1, a, x, 3)
 
 
 # ---------------------------------------------------------------------------
-# routing for the CLI and the survey
+# the one list of forms, for the CLI and the survey
+# name -> (p, s, t, inverse) of each explicit form on GF(p^n), m = 1
+COROLLARIES = {
+    "cor3": (5, 2, 2, gf5_s2t2_inverse),
+    "cor4": (7, 3, 2, gf7_s3t2_inverse),
+    "cor5": (7, 2, 3, gf7_s2t3_inverse),
+}
+FORMS = ("thm31", *COROLLARIES)
 
 
 def applicable_forms(field: Field, m: int, s: int, t: int) -> list[str]:
     """Names of the specialised forms derived for these parameters, most specific first."""
-    corollaries = {(5, 2, 2): "cor3", (7, 3, 2): "cor4", (7, 2, 3): "cor5"}  # on GF(p^n), m = 1
-    forms = [corollaries[field.p, s, t]] if field.e == m == 1 and (field.p, s, t) in corollaries else []
+    forms = [name for name, entry in COROLLARIES.items() if field.e == m == 1 and entry[:3] == (field.p, s, t)]
     if t == 2 and field.p != 2 and 1 <= m <= field.n - 1:
         forms.append("thm31")
     return forms
 
 
 def evaluate_special(name: str, field: Field, m: int, a, x) -> FieldElement:
-    if name == "cor3":
-        return gf5_s2t2_inverse(field, a, x)
-    if name == "cor4":
-        return gf7_s3t2_inverse(field, a, x)
-    if name == "cor5":
-        return gf7_s2t3_inverse(field, a, x)
     if name == "thm31":
         return t2_inverse(field, m, a, x)
-    raise ValueError(f"unknown specialised form {name!r}")
+    if name not in COROLLARIES:
+        raise ValueError(f"unknown specialised form {name!r}")
+    return COROLLARIES[name][3](field, a, x)

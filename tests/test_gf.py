@@ -217,6 +217,19 @@ def test_element_rejects_numpy_bool():
             F5.element(bad)
 
 
+def test_unit_rejects_zero_on_scalars_and_arrays():
+    F5 = Field(5)
+    with pytest.raises(ValueError, match="nonzero"):
+        F5.unit(0)
+    with pytest.raises(ValueError, match="nonzero"):
+        F5.unit(np.array([1, 0, 3]))  # one zero entry rejects the array, with no ambiguous truth value
+    with pytest.raises(TypeError):
+        F5.unit(True)
+    assert F5.unit(3) == F5(3) and F5.unit(F5(2)) == F5(2)
+    units = F5.unit(np.arange(1, 5))
+    assert units.field == F5 and units.index.tolist() == [1, 2, 3, 4]
+
+
 def test_enumeration_and_index_round_trip():
     F9 = Field(3, 1, 2)
     assert F9(4) == F9.from_coeffs([1, 1])  # 4 = 1 + 1*3

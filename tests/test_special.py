@@ -1,13 +1,20 @@
 """Specialised inverse formulas versus the general path."""
 
+import argparse
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ppinv import special
+from ppinv.cli import build_parser
 from ppinv.family import NotPermutationError, PPParams, gcd_halfpower
 from ppinv.gf import Field
 from ppinv.special import (
+    COROLLARIES,
+    FORMS,
     applicable_forms,
     evaluate_special,
     g2_value,
@@ -147,6 +154,27 @@ def test_gf7_pinned():
         gf7_s3t2_inverse(F5, F5(2), F5(1))
 
 
+@pytest.mark.parametrize("name", sorted(COROLLARIES))
+def test_corollary_criterion_sweep(name):
+    """Each corollary rejects exactly the a the family's criterion rejects, on
+    every GF(p^n) with p^n <= 343, and refuses e = 2 and the other characteristic."""
+    p, s, t, form = COROLLARIES[name]
+    rejection = "a is a square" if s == 2 else "a is a cube"
+    for n in (1, 2, 3):
+        field = Field(p, 1, n)
+        params = PPParams(field, 1, s, t)
+        x = field.element(2)
+        for a in range(1, field.order):
+            if params.is_permutation(a):
+                assert form(field, a, x) == params.inverse_value(a, x), (name, n, a)
+            else:
+                with pytest.raises(NotPermutationError, match=rejection):
+                    form(field, a, x)
+    for field in (Field(p, 2, 1), Field({5: 7, 7: 5}[p], 1, 1)):
+        with pytest.raises(ValueError, match=r"form requires a GF\(%d\^n\) field" % p):
+            form(field, 2, 1)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_corollary_forms_agree_with_general(n):
     f5 = Field(5, 1, n)
@@ -236,4 +264,16 @@ def test_special_forms_on_arrays_match_scalars():
                         want = [evaluate_special(form, bare, m, bare(a), bare(y)).index for y in range(field.order)]
                         assert got.index.tolist() == want, (form, split, m, a)
                     forms.add(form)
-    assert forms == {"cor3", "cor4", "cor5", "thm31"}
+    assert forms == set(FORMS)
+
+
+def test_forms_are_listed_once():
+    """FORMS is the CLI's --special list, in the order of its help text, and
+    each corollary's name (with its p, s and t) is spelled in special.py only."""
+    assert FORMS == ("thm31", "cor3", "cor4", "cor5")
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    (option,) = (a for a in subs.choices["invert"]._actions if a.dest == "special")
+    assert tuple(option.choices) == ("auto", *FORMS)
+    src = Path(special.__file__).parent
+    outside = [f.name for f in sorted(src.glob("*.py")) if f.name != "special.py" and re.search(r"cor[345]", f.read_text())]
+    assert outside == []
