@@ -547,10 +547,11 @@ class Field:
     # -- element construction ----------------------------------------------
 
     def element(self, value) -> FieldElement:
-        """Element from an integer index, an index array or a coefficient sequence.
+        """Element from an integer index or an index array; digits go to from_coeffs.
 
-        An index array needs the field's tables, so it raises ValueError
-        above TABLE_LIMIT.
+        The package's one index-array check: TypeError unless the dtype is
+        integer, ValueError unless every entry lies in [0, Q), and ValueError
+        above TABLE_LIMIT, as an array runs on the field's tables.
         """
         if isinstance(value, FieldElement):
             if value.field != self:
@@ -567,10 +568,10 @@ class Field:
             if value.dtype.kind not in "iu":
                 raise TypeError(f"element index arrays must be integer, got {value.dtype}")
             if value.size and (value.min() < 0 or value.max() >= self.order):
-                raise ValueError(f"element indices out of range [0, {self.order})")
+                raise ValueError(f"element indices must lie in [0, {self.order})")
             self.tables  # arrays run on the table kernels
             return FieldElement(self, np.asarray(value, dtype=np.int64))  # a plain ndarray
-        return self.from_coeffs(value)
+        raise TypeError(f"element needs an integer index or an index array, got {type(value).__name__}")
 
     __call__ = element
 
@@ -780,19 +781,14 @@ class FieldTables:
         return self.add(u, self.neg[v])
 
     def sum_terms(self, stack):
-        """Field sum along the first axis of a stacked index array."""
+        """Field sum along the first axis of a stacked index array (zeros for no rows):
+        pairwise halving, log2(rows) calls of add."""
         stack = np.asarray(stack, dtype=np.int64)
-        if self.p == 2:
-            return np.bitwise_xor.reduce(stack, axis=0)
-        if self._zech is None:
-            return stack.sum(axis=0) % self.p
-        if len(stack) <= 1:
-            return stack.sum(axis=0)
-        # pairwise halving: log2(rows) vectorised adds
+        if not len(stack):
+            return np.zeros(stack.shape[1:], dtype=np.int64)
         while len(stack) > 1:
             half = len(stack) // 2
-            pairs = self._zech_add(stack[:half], stack[half:2 * half])
-            stack = np.concatenate([pairs, stack[2 * half:]]) if len(stack) % 2 else pairs
+            stack = np.concatenate([self.add(stack[:half], stack[half:2 * half]), stack[2 * half:]])
         return stack[0]
 
     def mul(self, u, v):

@@ -46,15 +46,11 @@ import numpy as np
 from .gf import Field, FieldElement, prime_factors
 
 def check_images(field: Field, images) -> np.ndarray:
-    """A table of Q image indices as int64; TypeError unless its dtype is integer."""
+    """A table of Q image indices as int64: its shape checked here, its entries by Field.element."""
     table = np.asarray(images)
     if table.shape != (field.order,):
         raise ValueError(f"table must hold exactly {field.order} images")
-    if table.dtype.kind not in "iu":
-        raise TypeError(f"image indices must be integers, got {table.dtype}")
-    if table.min() < 0 or table.max() >= field.order:
-        raise ValueError(f"image indices must lie in [0, {field.order})")
-    return table.astype(np.int64, copy=False)
+    return field.element(table).index
 
 
 def _limb_bits(p: int, r: int) -> int:
@@ -140,10 +136,10 @@ class Poly:
 
     def __init__(self, field: Field, coeffs=()):
         self.field = field
-        if isinstance(coeffs, np.ndarray) and coeffs.dtype == np.int64:
-            if coeffs.view(np.uint64).max(initial=0) >= field.order:  # negatives wrap to huge
-                raise ValueError(f"element indices out of range [0, {field.order})")
-            arr = coeffs
+        if isinstance(coeffs, np.ndarray):
+            if coeffs.ndim != 1:
+                raise ValueError(f"coefficients must be a 1-D array, got {coeffs.ndim}-D")
+            arr = field.element(coeffs).index
         else:
             arr = np.array([field.element(c).index for c in coeffs], dtype=np.int64)
         nz = np.nonzero(arr)[0]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import special
 from .family import PPParams
-from .gf import Field, prime_factors
+from .gf import Field, is_prime, prime_factors
 from .oracle import CapExceededError, PermTable, bijection_mask, check_cap, inverse_poly_by_interpolation, oracle_cap
 
 # field points per check_family chunk: one row at the 2^16 oracle cap
@@ -39,15 +39,9 @@ def factor_pairs(v: int) -> list[tuple[int, int]]:
 
 def field_splits(max_order: int) -> list[tuple[int, int, int]]:
     """Every (p, e, n) with p prime and p^(e*n) <= max_order, sorted by (order, p, e, n);
-    the primes by one sieve of Eratosthenes."""
-    bound = max(max_order, 1)
-    prime = np.ones(bound + 1, dtype=bool)
-    prime[:2] = False
-    for p in range(2, math.isqrt(bound) + 1):
-        if prime[p]:
-            prime[p * p::p] = False
+    the primes by gf.is_prime."""
     out = []
-    for p in np.flatnonzero(prime).tolist():
+    for p in filter(is_prime, range(2, max_order + 1)):
         k = 1
         while p ** k <= max_order:
             out += [(p ** k, p, e, k // e) for e in range(1, k + 1) if k % e == 0]

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ppinv.family import PPParams
 from ppinv.gf import Field, is_prime
+from ppinv.oracle import PermTable
 from ppinv.poly import Poly, poly_from_terms, _cycle_coeffs, _limb_split, _symmetry
 from ppinv.verify import field_splits
 
@@ -126,10 +127,41 @@ def test_interpolate_rejects_bad_tables():
     with pytest.raises(ValueError, match="must lie in"):
         Poly.interpolate(F5, [0, 1, -1, 3, 4])
     # truncating floats or bools would interpolate some other table
-    for bad in ([0.7, 1.2, 2.9, 3.1, 4.0], np.arange(5.0), [True, False, True, False, True]):
+    for bad in ([0.7, 1.2, 2.9, 3.1, 4.0], np.arange(5.0), [True, False, True, False, True], list("01234")):
         with pytest.raises(TypeError, match="integer"):
             Poly.interpolate(F5, bad)
     assert Poly.interpolate(F5, np.arange(5, dtype=np.uint8)) == Poly(F5, [0, 1])
+
+
+def test_index_arrays_share_one_check():
+    """Field.element, PermTable, Poly.interpolate and Poly(field, array) refuse
+    a bad index array with the same exception and message, and take any
+    integer dtype alike."""
+    F5 = Field(5)
+    entries = (F5.element, lambda a: PermTable(F5, a), lambda a: Poly.interpolate(F5, a), lambda a: Poly(F5, a))
+    bad = {
+        TypeError: (np.arange(5.0), np.ones(5, dtype=bool), np.array(list("01234"))),
+        ValueError: (np.array([0, 1, -1, 3, 4]), np.array([0, 1, 2, 3, 5])),
+    }
+    for kind, tables in bad.items():
+        for table in tables:
+            caught = set()
+            for call in entries:
+                with pytest.raises(kind) as info:
+                    call(table)
+                caught.add((info.type, str(info.value)))
+            assert len(caught) == 1, caught
+    assert str(info.value) == "element indices must lie in [0, 5)"  # the last table: an entry equal to Q
+    table = [0, 2, 4, 1, 3]  # x -> 2x
+    results = [
+        (F5.element(a).index.tolist(), PermTable(F5, a), Poly.interpolate(F5, a), Poly(F5, a))
+        for a in (np.array(table, dtype=dtype) for dtype in (np.int64, np.int32, np.uint8))
+    ]
+    assert results == [(table, PermTable(F5, table), Poly(F5, [0, 2]), Poly(F5, table))] * 3
+    F9 = Field(3, 1, 2)
+    with pytest.raises(TypeError):
+        F9.element([1, 1])  # digits go through from_coeffs
+    assert F9.from_coeffs([1, 1]) == F9(4)
 
 
 def test_text_round_trip():
@@ -699,3 +731,5 @@ def test_poly_arguments_are_checked():
         for coeffs in (bad, np.array(bad, dtype=np.int64)):
             with pytest.raises(ValueError):
                 Poly(F5, coeffs)
+    with pytest.raises(ValueError, match="1-D"):
+        Poly(F5, np.array([[1, 2], [3, 4]]))
