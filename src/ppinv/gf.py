@@ -667,6 +667,10 @@ class FieldTables:
       u + v = g^(log u + Z[log v - log u]) with Z[k] = log(1 + g^k), which is
       undefined where g^k = -1, i.e. at k = (Q - 1)/2.
 
+    ``pow(u, k)`` reduces k mod L = Q - 1; from Q points up it gathers from one
+    Q-entry table of x^k.  Remainders by L are e - (e // L) L (e >= 0): numpy
+    divides an array by a scalar by multiply and shift, but ``%`` per element.
+
     The digit matrix ``dig`` and the digits ``xpow`` of x^0 .. x^(2D-2) are
     built on first use: only Poly's FFT product and coefficient folding need
     them.  Built lazily via Field.tables, on the field's packed kernel alone:
@@ -800,8 +804,14 @@ class FieldTables:
             raise ValueError("negative exponent: invert first")
         if k == 0:
             return np.ones_like(u)
-        out = self.exp[self.log[u] * (k % self.group) % self.group]
-        return np.where(u == 0, 0, out)
+        L, k = self.group, k % self.group
+        if u.size < self.order:  # below Q points the table costs more than the points
+            e = self.log[u] * k
+            return np.where(u == 0, 0, self.exp[e - e // L * L])
+        e = self.log * k
+        table = self.exp[e - e // L * L]
+        table[0] = 0  # log 0 reads 2L; 0^k = 0 for k > 0
+        return table[u]
 
     def inv_of(self, u):
         u = np.asarray(u, dtype=np.int64)

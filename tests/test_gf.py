@@ -307,8 +307,35 @@ def test_tables_match_scalar_ops(spec):
         for j in range(Q):
             assert T.add(np.int64(i), np.int64(j)) == K.add_idx(i, j)
             assert T.mul(np.int64(i), np.int64(j)) == K.mul_idx(i, j)
-        for k in (0, 1, 2, 3, Q - 1, Q, 2 * Q + 1):
+        for k in (0, 1, 2, 3, Q - 1, Q, 2 * Q + 1, 2 ** 62 + 1, F.norm_exponent(1)):
             assert T.pow(np.int64(i), k) == K.pow_idx(i, k)
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 1), (7, 1, 1), (2, 1, 9), (3, 3, 2), (7, 1, 3), (2, 1, 16)])
+def test_tables_pow_paths_match_packed_kernel(spec):
+    # FieldTables.pow gathers from a Q-entry table of x^k from Q points up and
+    # powers each point by its log below: both paths against packed arithmetic
+    F = Field(*spec)
+    K = _OnIndices(F._kernel)
+    T, Q, L = F.tables, F.order, F.tables.group
+    if Q <= 4096:
+        pts = np.arange(Q, dtype=np.int64)
+    else:  # a seeded subset, with zero and one
+        pts = np.concatenate([[0, 1], np.random.default_rng(35).choice(np.arange(2, Q), 4094, replace=False)])
+    rows = max(2, -(-Q // len(pts)))  # (rows, len(pts)) holds at least Q points
+    exponents = {0, 1, 2, F.p, F.p ** (F.degree - 1), L, L + 1, 2 * L + 1, 2 ** 62 + 1, F.norm_exponent(1)}
+    for k in sorted(exponents):
+        want = np.array([K.pow_idx(int(i), k) for i in pts], dtype=np.int64)
+        cases = [(np.tile(pts, (rows, 1)), np.tile(want, (rows, 1)))]  # the table path, a zero in every row
+        cases += [(pts[s], want[s]) for s in np.array_split(np.arange(len(pts)), 2)]  # shorter than Q
+        cases += [(np.asarray(pts[i]), np.asarray(want[i])) for i in (0, 1, -1)]  # 0-d
+        for u, expect in cases:
+            got = T.pow(u, k)
+            assert got.dtype == np.int64 and got.shape == u.shape
+            np.testing.assert_array_equal(got, expect, err_msg=f"k={k}, shape {u.shape}")
+    for u in (np.tile(pts, (rows, 1)), pts[:1], np.asarray(pts[1])):
+        with pytest.raises(ValueError, match="negative exponent"):
+            T.pow(u, -1)
 
 
 def test_tables_guard():
