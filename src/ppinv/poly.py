@@ -2,8 +2,12 @@
 
 Coefficients are stored little-endian as an int64 array of element indices.
 A product is one exact float64 FFT convolution of the operands' base-p digit
-matrices: each operand is transformed once (_transform), and _convolve
-multiplies the spectra and finishes only the output window its caller reads.
+matrices: each operand is transformed once along its coefficients and
+evaluated along its D digits at 2D - 1 roots of unity (_transform), and
+_convolve multiplies the two, maps the product back to D digits with one
+fixed matrix and inverse-transforms those D rows, finishing only the output
+window its caller reads.  Large p splits each digit into r limbs, a second
+axis evaluated at 2r - 1 roots.
 Reduction mod x^Q - x (Q the field order) uses the exponent rule
 k -> ((k - 1) mod (Q - 1)) + 1 for k >= Q, which never sends a positive
 exponent to 0 and so preserves the induced function on the whole field,
@@ -28,11 +32,11 @@ share one cycle and one plan.  The chirp, the transform length and the
 spectrum of the correlation kernel depend only on the field and e: they are
 built on the first call into a _ChirpPlan, kept per e for as long as the
 field's tables live, so a later call gathers and transforms its values only.
-A plan holds D r spectrum rows of N/2 + 1 complex entries (r limbs per
-digit, N the power of two >= 2M - 1), 16 MiB for e = 1 at 2^16.  Every
-operation, interpolation included, reads the field's dense tables and is
-bounded only by their limit (gf.TABLE_LIMIT); exhaustive checks over a field
-are bounded by the oracle cap instead.
+A plan holds the kernel's spectrum at N/2 + 1 frequencies, each evaluated
+at (2D - 1)(2r - 1) roots (N the power of two >= 2M - 1), 31 MiB for e = 1
+at 2^16.  Every operation, interpolation included, reads the field's dense
+tables and is bounded only by their limit (gf.TABLE_LIMIT); exhaustive
+checks over a field are bounded by the oracle cap instead.
 """
 
 from __future__ import annotations
@@ -66,36 +70,88 @@ def _limb_split(p: int, digits: int, la: int, lb: int) -> int:
     convolution of length N = 2^n misses x * y by less than
     |x| |y| ((1 + e)^(3n) (1 + e sqrt 5)^(3n + 1) (1 + b)^(3n) - 1) in every
     entry, with e = 2^-53 and b, the error of the roots of unity, taken as e.
-    An output digit sums digits * r such products in the frequency domain
-    (one more factor (1 + e) each), and |x| <= top sqrt(len) for limbs of at
-    most top.  The bound must stay below 1/4, half of what rounding to the
-    nearest integer needs, as margin for numpy's real radix-4 transforms.
-    Percival's bound is for cyclic convolution; n, from la + lb - 2, is log2 of
-    the full product's length and over-estimates it for any shorter cyclic one.
+    The D digits and r limbs of a coefficient form a second axis, evaluated
+    at K = (2D - 1)(2r - 1) roots of unity (_digit_maps): each operand's
+    evaluation sums D r terms and the map back sums K, one more factor
+    (1 + e) each, and each of the three matrices adds one rounded root and
+    product.  |x| <= top sqrt(len D r) for limbs of at most top.  The map
+    back folds digit w >= D onto the D digits below with the centred digits
+    of x^w mod the modulus, at most p/2 each, so an output sum weighs the
+    exact one's error by at most 1 + (D - 1) p/2.  The bound must stay below
+    1/4, half of what rounding to the nearest integer needs, as margin for
+    numpy's real radix-4 transforms.  Percival's bound is for cyclic
+    convolution; n, from la + lb - 2, is log2 of the full product's length
+    and over-estimates it for any shorter cyclic one.
     """
     n = (la + lb - 2).bit_length()
     eps = 2.0 ** -53
+    fold = 1 + (digits - 1) * (p // 2)
     for r in range(1, (p - 1).bit_length() + 1):
         bits = _limb_bits(p, r)
         top = min(p - 1, (1 << bits) - 1)
         terms = digits * r
-        grow = math.expm1((6 * n + terms) * math.log1p(eps) + (3 * n + 1) * math.log1p(eps * math.sqrt(5)))
-        if terms * top * top * math.sqrt(la * lb) * grow < 0.25:
+        sums = 6 * n + 2 * terms + (2 * digits - 1) * (2 * r - 1) + 3
+        grow = math.expm1(sums * math.log1p(eps) + (3 * n + 4) * math.log1p(eps * math.sqrt(5)))
+        if fold * terms * top * top * math.sqrt(la * lb) * grow < 0.25:
             return r
     raise ValueError("polynomials too long for an exact float64 product")
 
 
-def _transform(field: Field, idx: np.ndarray, size: int, r: int) -> np.ndarray:
-    """The spectrum _convolve takes for an index vector: its base-p digit matrix,
-    each digit split into r limbs, transformed along the coefficient axis at
-    length size (a power of two).
+def _blocks(M: np.ndarray) -> np.ndarray:
+    """A complex matrix M as a real one on float views: for complex rows x,
+    (x @ M).view(float64) = x.view(float64) @ _blocks(M)."""
+    out = np.empty((len(M), 2, M.shape[1], 2))
+    out[:, 0, :, 0] = out[:, 1, :, 1] = M.real
+    out[:, 0, :, 1] = M.imag
+    out[:, 1, :, 0] = -M.imag
+    return out.reshape(2 * len(M), -1)
 
-    Axes: digit u, limb i, frequency.  Digits above the highest nonzero one are
-    dropped, all but digit 0 for an all-zero operand.
+
+def _digit_maps(field: Field, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two fixed matrices of a product with r limbs a digit, as _blocks.
+
+    Limb i of digit u sits at position u (2r - 1) + i of an axis of length
+    K = (2D - 1)(2r - 1), so the limb products of two coefficients land on
+    distinct positions w (2r - 1) + l, w < 2D - 1, l < 2r - 1.  The first
+    matrix evaluates the D r limb positions at the K-th roots of unity.  The
+    second maps the K values of a product back to the 2r - 1 limb sums l of
+    each output digit d, column d (2r - 1) + l: the inverse transform, then
+    the fold of digit w onto digit d with the centred digit d of x^w mod the
+    modulus.  Both depend on the field and r alone and are kept while its
+    tables live.  They are real because a complex BLAS product of these
+    shapes stalled for milliseconds on a busy two-core host.
     """
-    bits = _limb_bits(field.p, r)
-    limbs = field.tables.dig[idx].T[:, None] >> bits * np.arange(r)[:, None] & (1 << bits) - 1
-    return np.fft.rfft(limbs[: np.flatnonzero(limbs.any(axis=(1, 2))).max(initial=0) + 1], n=size)
+    maps = _maps.setdefault(field.tables, {})
+    if r not in maps:
+        D, p, n = field.degree, field.p, 2 * r - 1
+        K = (2 * D - 1) * n
+        k = np.arange(K)
+        roots = np.exp(2j * np.pi / K * (np.outer(k, k) % K))
+        limbs = (np.arange(D)[:, None] * n + np.arange(r)).ravel()
+        fold = np.kron((field.tables.xpow.T + p // 2) % p - p // 2, np.eye(n))
+        maps[r] = _blocks(roots[limbs]), _blocks((fold @ roots.conj() / K).T)
+    return maps[r]
+
+
+# the digit maps of each field's tables by r, built on first use and dropped
+# with the tables
+_maps = weakref.WeakKeyDictionary()
+
+
+def _transform(field: Field, idx: np.ndarray, size: int, r: int) -> np.ndarray:
+    """The spectrum _convolve takes for an index vector: its base-p digit
+    matrix, each digit split into r limbs, transformed at length size (a
+    power of two) along the coefficient axis and evaluated along the
+    digit-limb axis at K = (2D - 1)(2r - 1) roots of unity (_digit_maps).
+
+    Axes: frequency (size/2 + 1), root (K).  Digits above those of the
+    largest index are skipped.
+    """
+    T, bits = field.tables, _limb_bits(field.p, r)
+    keep = max(1, int(np.searchsorted(T.pw, idx.max(initial=0), side="right")))
+    limbs = (T.dig[idx][:, :keep, None] >> bits * np.arange(r) & (1 << bits) - 1).reshape(len(idx), -1)
+    spectra = np.fft.rfft(limbs.astype(np.float64), n=size, axis=0)
+    return (spectra.view(np.float64) @ _digit_maps(field, r)[0][:2 * keep * r]).view(np.complex128)
 
 
 def _convolve(field: Field, A: np.ndarray, B: np.ndarray, size: int, window: slice) -> np.ndarray:
@@ -103,30 +159,24 @@ def _convolve(field: Field, A: np.ndarray, B: np.ndarray, size: int, window: sli
     two index vectors, given as their spectra (_transform, with the same size
     and the r limbs of _limb_split for their lengths).
 
-    Digit u of one operand times digit v of the other lands on digit u + v,
-    so the digit axis is convolved as at most D broadcast multiply-adds of spectra;
-    one inverse transform and np.rint then give the exact integer digit sums, since
-    _limb_split keeps the rounding error below 1/4 (for large p by splitting digits
-    into limbs, which adds a second digit-like axis).  Digits u + v >= D fold back
-    through x^(u+v) mod the field modulus.  Only the window's coefficients are
-    rounded, reduced and folded.
+    One pointwise product of the evaluations, into A, which its caller
+    drops; one fixed matrix (_digit_maps) from the K values to the 2r - 1
+    limb sums of each of the D output digits, digits above D folded in; one
+    inverse transform of those D (2r - 1) columns; and np.rint, exact as
+    _limb_split keeps the rounding error below 1/4, then mod p.  Limb sum l
+    weighs 2^(bits l), applied mod p after rounding: in the fold it would
+    scale the error by up to p.  Only the window's sums are rounded and reduced.
     """
     T, D, p = field.tables, field.degree, field.p
-    r = A.shape[1]
-    bits = _limb_bits(p, r)
-    C = np.zeros((len(A) + len(B) - 1, 2 * r - 1, size // 2 + 1), dtype=np.complex128)
-    for u in range(len(A)):
-        for i in range(r):
-            C[u:u + len(B), i:i + r] += A[u, i] * B
-    C = np.rint(np.fft.irfft(C, n=size)[..., window])
-    C -= p * np.rint(C * (1 / p))  # now |C| <= p/2 + 1, congruent mod p
-    # limb sum l of digit w weighs 2^(bits l) x^w, and x^w for w >= D folds
-    # back below the field modulus; in float64 this is exact, each sum
-    # having (2D - 1)(2r - 1) terms below p (p/2 + 1)
-    weights = [pow(2, bits * k, p) for k in range(2 * r - 1)]
-    fold = np.multiply.outer(T.xpow[: len(C)].T, weights).reshape(D, -1) % p
-    C = (fold @ C.reshape(fold.shape[1], -1)).astype(np.int64) % p
-    return T.pw @ C
+    r = (A.shape[1] // (2 * D - 1) + 1) // 2
+    A *= B
+    C = np.fft.irfft((A.view(np.float64) @ _digit_maps(field, r)[1]).view(np.complex128), n=size, axis=0)
+    C = np.rint(C[window]).astype(np.int64)
+    C -= C // p * p  # numpy's % divides per element
+    if r > 1:
+        C = C.reshape(len(C), D, -1) @ [pow(2, _limb_bits(p, r) * l, p) for l in range(2 * r - 1)]
+        C -= C // p * p
+    return C @ T.pw
 
 
 class Poly:
@@ -261,7 +311,8 @@ class Poly:
         the y^Q term w_M folds onto y."""
         out = np.zeros(field.order, dtype=np.int64)
         out[0] = at_zero
-        out[1::e] = np.roll(_cycle_coeffs(field, values, e), 1)
+        w = _cycle_coeffs(field, values, e)
+        out[1], out[1 + e::e] = w[-1], w[:-1]
         return cls(field, out)
 
 
@@ -269,8 +320,10 @@ class _ChirpPlan:
     """What _cycle_coeffs reads of the field and e alone, for M = (Q - 1)/e:
     the chirp c_m = h^C(m, 2) of h = g^e as the head c_0 .. c_(M-1) and the
     tail -e c_1 .. -e c_M, the transform length N, the limbs r of an exact
-    product of M by 2M - 1 coefficients, and the spectrum of the kernel
-    b_m = 1/c_m, 0 < m < 2M: D r rows of N/2 + 1 complex128, about 8 D r N bytes.
+    product of M by 2M - 1 coefficients, and the kernel b_m = 1/c_m,
+    0 < m < 2M, transformed and evaluated (_transform): N/2 + 1 rows of
+    K = (2D - 1)(2r - 1) complex128, about 8 K N bytes.  The two digit
+    matrices of a product are the field's, kept by _digit_maps.
     """
 
     __slots__ = ("head", "tail", "size", "limbs", "kernel")
@@ -327,14 +380,15 @@ def _symmetry(field: Field, units: np.ndarray) -> int:
     The zeta with F(zeta y) = zeta F(y) for all y form a subgroup of the
     cyclic unit group, mu_e, and mu_e is the product of its parts mu_(q^i),
     q^i || e.  So for each prime q | L, i rises while g^(L/q^i), the
-    generator of mu_(q^i), passes: one compare of the units rolled by L/q^i
-    against the units times g^(L/q^i).
+    generator of mu_(q^i), passes: one compare of the units from L/q^i on
+    against the units before L - L/q^i times g^(L/q^i).  The L/q^i entries
+    that wrap around follow, as (g^(L/q^i))^(q^i) = 1.
     """
     T, L = field.tables, len(units)
     e = 1
     for q in prime_factors(L):
         k = q
-        while L % k == 0 and np.array_equal(np.roll(units, -(L // k)), T.mul(units, T.exp[L // k])):
+        while L % k == 0 and np.array_equal(units[L // k:], T.mul(units[:L - L // k], T.exp[L // k])):
             k *= q
         e *= k // q
     return e

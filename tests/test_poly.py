@@ -241,6 +241,40 @@ def test_fft_product_matches_schoolbook(spec):
         assert a * b == schoolbook_mul(a, b), (len(ia), len(ib))
 
 
+# the fields near the 2^16 oracle cap with the largest digits for their degree
+LARGEST_PLANS = [(65521, 1, 1), (2, 1, 16), (3, 1, 10), (5, 1, 7), (7, 1, 5), (13, 1, 4), (31, 1, 3), (251, 1, 2), (257, 1, 2)]
+
+
+@pytest.mark.parametrize("spec", LARGEST_PLANS)
+def test_fft_product_exact_at_the_largest_plan(spec):
+    # a plan multiplies M by 2M - 1 coefficients, M = (Q - 1)/e; only 65521
+    # needs a second limb.  The e = 1 product is the window M - 1 .. 2M - 2
+    # of their cyclic convolution, where every sum has M terms: for every
+    # digit p - 1 each is M (Q - 1)^2, and for random operands sampled sums
+    # are compared with the schoolbook sum in table arithmetic
+    import ppinv.poly
+
+    field = Field(*spec)
+    T, Q, p = field.tables, field.order, field.p
+    for M in ((Q - 1) // 2, Q - 1):
+        r = _limb_split(p, field.degree, M, 2 * M - 1)
+        assert r == (2 if p == 65521 else 1), M
+    size = 1 << (2 * M - 2).bit_length()
+    window = slice(M - 1, 2 * M - 1)
+
+    def window_sums(a, b):
+        A, B = (ppinv.poly._transform(field, x, size, r) for x in (a, b))
+        return ppinv.poly._convolve(field, A, B, size, window)
+
+    worst = np.full(2 * M - 1, Q - 1, dtype=np.int64)
+    assert np.array_equal(window_sums(worst[:M], worst), np.full(M, T.mul(T.mul(Q - 1, Q - 1), M % p)))
+    rng = np.random.default_rng(Q)
+    a, b = rng.integers(0, Q, M), rng.integers(0, Q, 2 * M - 1)
+    sums = window_sums(a, b)
+    for k in [M - 1, 2 * M - 2, *rng.integers(M - 1, 2 * M - 1, 6)]:
+        assert sums[k - M + 1] == T.sum_terms(T.mul(a, b[k - np.arange(M)])), k
+
+
 @st.composite
 def _fft_fields(draw):
     degree = draw(st.integers(1, 12))
