@@ -115,12 +115,12 @@ def cmd_invert(args) -> int:
             print(f"error: specialised form {form} not applicable to (m, s, t) = "
                   f"({params.m}, {params.s}, {params.t}) over GF({field.descriptor()})", file=sys.stderr)
             return 2
-    if not params.is_permutation(a):
-        _emit({"is_pp": False}, args.format)
-        return 1
     if args.at is None and not args.symbolic:
         print("error: nothing to do; pass --at and/or --symbolic", file=sys.stderr)
         return 2
+    if not params.is_permutation(a):
+        _emit({"is_pp": False}, args.format)
+        return 1
     report: dict = {"is_pp": True}
     if args.special is not None:
         report["special_form"] = form or "general"

@@ -434,10 +434,10 @@ class FieldElement:
         return self + -other  # for a non-element, -other is none either and __add__ raises TypeError
 
     def __neg__(self):
-        v = self.value
-        if v.__class__ is np.ndarray:
-            return FieldElement(self.field, None, self.field.tables.neg[v])
-        return FieldElement(self.field, None, self.field._scalar.neg(v))
+        v, f = self.value, self.field
+        if v.__class__ is not np.ndarray:
+            return FieldElement(f, None, f._scalar.neg(v))
+        return FieldElement(f, None, v if f.p == 2 else f.tables.neg[v])
 
     def __mul__(self, other):
         ops, a, b = self._pair(other)
@@ -661,7 +661,7 @@ class FieldTables:
 
     Addition uses one kernel per kind of field:
 
-    - p = 2: XOR of indices; subtraction is the same and negation the identity;
+    - p = 2: XOR of indices; subtraction is the same, and no ``neg`` table as -u = u;
     - prime fields: (u + v) mod p;
     - odd p^k with k >= 2: Zech logarithms (Huber 1990),
       u + v = g^(log u + Z[log v - log u]) with Z[k] = log(1 + g^k), which is
@@ -700,8 +700,8 @@ class FieldTables:
         self.log[units] = ks
         self.inv = np.zeros(q, dtype=np.int64)
         self.inv[units] = units[(L - ks) % L]
-        # -u = u g^((Q-1)/2) for odd Q
-        self.neg = np.arange(q, dtype=np.int64) if p == 2 else self.exp[self.log + L // 2]
+        # -u = u g^((Q-1)/2) for odd Q; no table for p = 2, where -u = u
+        self.neg = None if p == 2 else self.exp[self.log + L // 2]
 
         self._zech = None
         if p != 2 and field.degree > 1:
@@ -782,7 +782,7 @@ class FieldTables:
         return self._zech_add(u, v)
 
     def sub(self, u, v):
-        return self.add(u, self.neg[v])
+        return self.add(u, v if self.p == 2 else self.neg[v])
 
     def sum_terms(self, stack):
         """Field sum along the first axis of a stacked index array (zeros for no rows):

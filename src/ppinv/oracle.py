@@ -1,10 +1,9 @@
 """Brute-force ground truth: evaluation tables, bijectivity, table inversion.
 
-Only tabulate and check_cap's callers (verify.check_family, hence the survey)
-refuse a field above the oracle cap (default 2^16, overridable via
-PPINV_ORACLE_CAP or a per-call argument), so a misconfigured sweep fails
-fast; PermTable, bijection_mask and inverse_poly_by_interpolation are
-bounded only by gf.TABLE_LIMIT.
+check_cap refuses an order above the oracle cap (default 2^16, overridable
+via PPINV_ORACLE_CAP or a per-call argument) before tabulate, check_family or
+the survey does any work; the rest is bounded only by gf.TABLE_LIMIT.
+inverse_rows is the one inversion of a permutation, which every verdict reads.
 """
 
 from __future__ import annotations
@@ -37,11 +36,11 @@ def oracle_cap(cap: int | None = None) -> int:
         raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def check_cap(field: Field, cap: int | None):
-    """Raise CapExceededError if the field is larger than the oracle cap."""
+def check_cap(order: int, cap: int | None):
+    """Raise CapExceededError if a field order is larger than the oracle cap."""
     limit = oracle_cap(cap)
-    if field.order > limit:
-        raise CapExceededError(f"field order {field.order} exceeds oracle cap {limit}")
+    if order > limit:
+        raise CapExceededError(f"field order {order} exceeds oracle cap {limit}")
 
 
 def bijection_mask(images: np.ndarray) -> np.ndarray:
@@ -50,6 +49,13 @@ def bijection_mask(images: np.ndarray) -> np.ndarray:
     flat = images + Q * np.arange(na, dtype=np.int64)[:, None]
     counts = np.bincount(flat.ravel(), minlength=na * Q).reshape(na, Q)
     return (counts == 1).all(axis=1)
+
+
+def inverse_rows(images: np.ndarray) -> np.ndarray:
+    """Row-wise inverse of bijective (Na, Q) image rows by one scatter: out[i, images[i, x]] = x."""
+    out = np.empty_like(images)
+    out[np.arange(len(images))[:, None], images] = np.arange(images.shape[1])
+    return out
 
 
 class PermTable:
@@ -78,14 +84,12 @@ class PermTable:
     def inverted(self) -> "PermTable":
         if not self.is_bijection():
             raise ValueError("cannot invert a non-bijective table")
-        inv = np.empty_like(self.images)
-        inv[self.images] = np.arange(len(self.images), dtype=np.int64)
-        return PermTable(self.field, inv)
+        return PermTable(self.field, inverse_rows(self.images[None])[0])
 
 
 def tabulate(field: Field, fn, cap: int | None = None) -> PermTable:
     """Evaluate fn at every field element, in index order."""
-    check_cap(field, cap)
+    check_cap(field.order, cap)
     images = np.empty(field.order, dtype=np.int64)
     for k, x in enumerate(field.elements()):
         images[k] = fn(x).index

@@ -143,15 +143,12 @@ def _transform(field: Field, idx: np.ndarray, size: int, r: int) -> np.ndarray:
     matrix, each digit split into r limbs, transformed at length size (a
     power of two) along the coefficient axis and evaluated along the
     digit-limb axis at K = (2D - 1)(2r - 1) roots of unity (_digit_maps).
-
-    Axes: frequency (size/2 + 1), root (K).  Digits above those of the
-    largest index are skipped.
+    Axes: frequency (size/2 + 1), root (K).
     """
     T, bits = field.tables, _limb_bits(field.p, r)
-    keep = max(1, int(np.searchsorted(T.pw, idx.max(initial=0), side="right")))
-    limbs = (T.dig[idx][:, :keep, None] >> bits * np.arange(r) & (1 << bits) - 1).reshape(len(idx), -1)
+    limbs = (T.dig[idx][:, :, None] >> bits * np.arange(r) & (1 << bits) - 1).reshape(len(idx), -1)
     spectra = np.fft.rfft(limbs.astype(np.float64), n=size, axis=0)
-    return (spectra.view(np.float64) @ _digit_maps(field, r)[0][:2 * keep * r]).view(np.complex128)
+    return (spectra.view(np.float64) @ _digit_maps(field, r)[0]).view(np.complex128)
 
 
 def _convolve(field: Field, A: np.ndarray, B: np.ndarray, size: int, window: slice) -> np.ndarray:

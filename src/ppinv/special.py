@@ -142,4 +142,6 @@ def evaluate_special(name: str, field: Field, m: int, a, x) -> FieldElement:
         return t2_inverse(field, m, a, x)
     if name not in COROLLARIES:
         raise ValueError(f"unknown specialised form {name!r}")
+    if m != 1:
+        raise ValueError(f"form {name} is derived for m = 1 only, got m = {m}")
     return COROLLARIES[name][3](field, a, x)

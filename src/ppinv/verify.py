@@ -1,13 +1,14 @@
 """Exhaustive verification sweeps and the CSV survey harness.
 
 check_family runs, for one parameter set, the fast vectorised comparison of
-the permutation criterion against oracle bijectivity, the two-sided inverse
-composition laws, optional symbolic-versus-interpolation coefficient
-equality, and optional agreement of the specialised formulas with the
-general inverse.  It walks the a values in chunks whose arrays hold at most
+the permutation criterion against oracle bijectivity, then judges each
+closed form against the oracle's inverse table (oracle.inverse_rows): the
+general inverse by equality of tables, optionally the specialised formula
+too, and optionally the symbolic inverse by equality with the table's
+interpolant.  It walks the a values in chunks whose arrays hold at most
 CHUNK field points, so its memory does not grow with the number of a: each
-chunk makes one array call for the images, the criterion and the inverse of
-every permuting a, and each inverse is computed once.  The survey iterates
+chunk makes one array call for the images, the criterion, the inverse
+table and the general inverse of every permuting a.  The survey iterates
 this over every field split up to a requested order with a fixed row order,
 so its CSV output is reproducible byte for byte.
 """
@@ -24,7 +25,8 @@ import numpy as np
 from . import special
 from .family import PPParams
 from .gf import Field, is_prime, prime_factors
-from .oracle import CapExceededError, PermTable, bijection_mask, check_cap, inverse_poly_by_interpolation, oracle_cap
+from .oracle import bijection_mask, check_cap, inverse_rows, oracle_cap
+from .poly import Poly
 
 # field points per check_family chunk: one row at the 2^16 oracle cap
 CHUNK = 1 << 16
@@ -79,15 +81,16 @@ def check_family(
 
     One record per selected a, in selection order.  The a values are taken
     in chunks of max(1, CHUNK // Q), so each chunk's (rows x Q) arrays hold
-    at most CHUNK points, or one row when Q > CHUNK.  Per chunk, one array
-    inverse_value call gives the inverse of every a that passes both the
-    criterion and the oracle; the two-sided check, the special form and the
-    symbolic comparison all read that a's row of it.  symbolic_ok shares
-    _cycle_coeffs and its _ChirpPlan with inverse_polynomial, so it cannot
+    at most CHUNK points, or one row when Q > CHUNK.  The oracle inverts the
+    images of every a that passes both the criterion and the oracle once per
+    chunk, and each verdict compares with that a's row of the result:
+    inverse_ok (exactly both composition laws, on a bijective row),
+    special_ok, and symbolic_ok through Poly.interpolate, which shares
+    _cycle_coeffs and its _ChirpPlan with inverse_polynomial and so cannot
     see a defect in that transform.
     """
     field = params.field
-    check_cap(field, cap)
+    check_cap(field.order, cap)
     a_sel = params.a_indices(a_indices)
     forms = special.applicable_forms(field, params.m, params.s, params.t) if with_special else []
     form = forms[0] if forms else None
@@ -103,7 +106,6 @@ def _check_chunk(
 ) -> list[FamilyCheck]:
     field = params.field
     points = field.all_elements()
-    xs = points.index
     images = params.images_for(a_chunk)
     crit = params.criterion_mask(a_chunk)
     bij = bijection_mask(images)
@@ -114,21 +116,16 @@ def _check_chunk(
     rows = np.nonzero(crit & bij)[0]
     if not rows.size:
         return recs
-    inv = params.inverse_value(field.element(a_chunk[rows][:, None]), points).index
-    img = images[rows]
-    inverse_ok = (
-        (np.take_along_axis(inv, img, axis=1) == xs).all(axis=1)
-        & (np.take_along_axis(img, inv, axis=1) == xs).all(axis=1)
-    )
+    truth = inverse_rows(images[rows])
+    inverse_ok = (params.inverse_value(field.element(a_chunk[rows][:, None]), points).index == truth).all(axis=1)
     for k, row in enumerate(rows):
         rec = recs[row]
         rec.inverse_ok = bool(inverse_ok[k])
         if symbolic:
-            oracle_poly = inverse_poly_by_interpolation(PermTable(field, img[k]))
-            rec.symbolic_ok = params.inverse_polynomial(rec.a) == oracle_poly
+            rec.symbolic_ok = params.inverse_polynomial(rec.a) == Poly.interpolate(field, truth[k])
         if form:
             value = special.evaluate_special(form, field, params.m, rec.a, points)
-            rec.special_ok = bool((value.index == inv[k]).all())
+            rec.special_ok = bool((value.index == truth[k]).all())
     return recs
 
 
@@ -152,10 +149,9 @@ def survey_rows(max_order: int, cap: int | None = None):
     """Deterministic stream of survey rows, as lists of SURVEY_COLUMNS cells,
     over all splits up to max_order; CapExceededError up front for an order
     above the cap (only those orders are scanned, not the splits)."""
-    limit = oracle_cap(cap)
-    for order in range(max(limit + 1, 2), max_order + 1):  # a prime lies in (n, 2n]
+    for order in range(max(oracle_cap(cap) + 1, 2), max_order + 1):  # a prime lies in (n, 2n]
         if len(prime_factors(order)) == 1:
-            raise CapExceededError(f"field order {order} exceeds oracle cap {limit}")
+            check_cap(order, cap)
     return _rows(max_order, cap)
 
 

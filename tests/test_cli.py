@@ -156,9 +156,10 @@ def test_invert_non_pp_exits_1(capsys):
 
 
 def test_invert_requires_work(capsys):
-    code, _, err = run(capsys, "invert", "--field", "5^1^1", "--m", "1", "--s", "2", "--t", "2", "--a", "2")
-    assert code == 2
-    assert "--at" in err
+    for a in ("2", "4"):  # 4 is a square: the request is malformed whatever the verdict
+        code, _, err = run(capsys, "invert", "--field", "5^1^1", "--m", "1", "--s", "2", "--t", "2", "--a", a)
+        assert code == 2
+        assert "--at" in err
 
 
 def test_invert_special_auto_and_explicit(capsys):

@@ -301,7 +301,7 @@ def test_tables_match_scalar_ops(spec):
     T = F.tables
     Q = F.order
     for i in range(Q):
-        assert T.neg[i] == K.neg_idx(i)
+        assert (T.neg[i] if F.p != 2 else T.sub(np.int64(0), np.int64(i))) == K.neg_idx(i)
         if i:
             assert T.inv[i] == K.pow_idx(i, Q - 2)
         for j in range(Q):
@@ -381,6 +381,20 @@ def _reference_powers(F):
     raise AssertionError("no generator")
 
 
+def test_binary_tables_hold_no_negation_table():
+    # -u = u on p = 2: no table, sub is add, and array negation keeps the indices
+    for spec in [(2, 1, 1), (2, 1, 8), (2, 2, 3)]:
+        F = Field(*spec)
+        T = F.tables
+        assert T.neg is None
+        u = np.arange(F.order, dtype=np.int64)
+        v = np.random.default_rng(F.order).permutation(F.order)
+        assert np.array_equal(T.sub(u, v), T.add(u, v))
+        assert np.array_equal((-F.element(v)).index, v)
+        assert np.array_equal((F.element(u) - F.element(v)).index, u ^ v)
+    assert Field(3, 1, 2).tables.neg is not None
+
+
 @pytest.mark.parametrize("spec", [(2, 1, 1), (3, 1, 1), (2, 1, 9), (3, 1, 6), (3, 3, 2), (5, 1, 3), (2, 1, 16)])
 def test_tables_equal_reference(spec):
     F = Field(*spec)
@@ -397,7 +411,7 @@ def test_tables_equal_reference(spec):
     assert T.exp.tolist() == exp + exp + [0] * (2 * group + 1)
     assert T.log.tolist() == log
     assert T.inv.tolist() == inv
-    assert np.array_equal(T.neg, (-dig % p) @ T.pw)
+    assert np.array_equal(T.neg if p != 2 else (-F.all_elements()).index, (-dig % p) @ T.pw)
     assert np.array_equal(T.dig, dig)
 
 

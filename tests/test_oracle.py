@@ -10,7 +10,9 @@ from ppinv.gf import Field
 from ppinv.oracle import (
     CapExceededError,
     PermTable,
+    check_cap,
     inverse_poly_by_interpolation,
+    inverse_rows,
     oracle_cap,
     tabulate,
 )
@@ -58,6 +60,20 @@ def test_invert_law_random_permutation():
     for k in range(9):
         assert inv.images[table.images[k]] == k
     assert inv.inverted() == table
+
+
+def test_inverse_rows_matches_inverted_table_row_by_row():
+    rng = np.random.default_rng(38)
+    for spec in [(2, 1, 1), (5, 1, 1), (3, 1, 2), (2, 1, 6), (7, 1, 2)]:
+        field = Field(*spec)
+        images = np.array([rng.permutation(field.order) for _ in range(4)], dtype=np.int64)
+        out = inverse_rows(images)
+        assert out.shape == images.shape and out.dtype == np.int64
+        for row, inv in zip(images, out):
+            assert np.array_equal(inv, PermTable(field, row).inverted().images), spec
+            assert np.array_equal(inv[row], np.arange(field.order)), spec
+    empty = inverse_rows(np.empty((0, 9), dtype=np.int64))
+    assert empty.shape == (0, 9) and empty.dtype == np.int64
 
 
 def test_permtable_validation():
@@ -133,6 +149,15 @@ def test_cap_enforcement(monkeypatch):
         tabulate(field, lambda x: x)
     monkeypatch.setenv("PPINV_ORACLE_CAP", "25")
     tabulate(field, lambda x: x)
+
+
+def test_check_cap_takes_an_order():
+    check_cap(8, 8)  # an order equal to the cap is allowed
+    with pytest.raises(CapExceededError, match="field order 9 exceeds oracle cap 8"):
+        check_cap(9, 8)
+    check_cap(1 << 16, None)
+    with pytest.raises(CapExceededError):
+        check_cap((1 << 16) + 1, None)
 
 
 def test_cap_env_must_be_integer(monkeypatch):

@@ -51,6 +51,18 @@ def test_t2_rejects_bad_inputs():
         evaluate_special("cor6", F25, 1, F25(2), F25(3))
 
 
+def test_corollary_forms_refuse_m_other_than_1():
+    # each corollary is derived for m = 1; on F_25 the m = 2 member with s = 2
+    # has t = 12, and its inverse at 3 is 2, not the m = 1 member's 7
+    F25 = Field(5, 1, 2)
+    assert evaluate_special("cor3", F25, 1, F25(5), F25(3)).index == 7
+    assert PPParams(F25, 2, 2, 12).inverse_value(F25(5), F25(3)).index == 2
+    for name, field in (("cor3", F25), ("cor4", Field(7, 1, 2)), ("cor5", Field(7, 1, 2))):
+        for m in (0, 2):
+            with pytest.raises(ValueError, match="m = 1"):
+                evaluate_special(name, field, m, field(5), field(3))
+
+
 @pytest.mark.parametrize(
     "spec,m",
     [((5, 1, 2), 1), ((3, 1, 3), 2), ((7, 1, 2), 1), ((11, 1, 2), 1), ((3, 1, 3), 1)],

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ppinv import special
+from ppinv import oracle, special
 from ppinv.family import PPParams
 from ppinv.gf import Field
 from ppinv.oracle import CapExceededError, PermTable, inverse_poly_by_interpolation
@@ -210,6 +210,45 @@ def test_check_family_symbolic_matches_per_a():
     for s, t in factor_pairs(4):
         recs = assert_matches_per_a(PPParams(field, 1, s, t), symbolic=True)
         assert all(r.symbolic_ok is (True if r.criterion else None) for r in recs)
+
+
+@pytest.mark.parametrize("spec, mst, form", [
+    ((5, 1, 2), (1, 2, 2), "cor3"),
+    ((3, 1, 3), (2, 4, 2), "thm31"),
+])
+def test_a_wrong_general_inverse_leaves_the_special_verdict_alone(monkeypatch, spec, mst, form):
+    # both are judged against the oracle's inverse table, so a defect in the
+    # general inverse for one a shows in that a's inverse_ok alone
+    params = PPParams(Field(*spec), *mst)
+    permuting = [int(a) for a in params.a_indices() if params.is_permutation(int(a))]
+    target = permuting[len(permuting) // 2]
+    original = PPParams.inverse_value
+
+    def swapped(self, a, y):
+        out = original(self, a, y).index.copy()
+        k = np.flatnonzero(a.index[:, 0] == target)
+        out[k, [1, 2]] = out[k, [2, 1]]
+        return self.field.element(out)
+
+    monkeypatch.setattr(PPParams, "inverse_value", swapped)
+    recs = check_family(params, with_special=True)
+    assert len(permuting) > 1
+    for r in recs:
+        assert r.special_form == form
+        if r.criterion:
+            assert r.inverse_ok is (r.a != target), r.a
+            assert r.special_ok is True, r.a
+        assert r.mismatch is (r.a == target)
+
+
+def test_symbolic_check_builds_no_perm_table(monkeypatch):
+    def built(self, field, images):
+        raise AssertionError("check_family built a PermTable")
+
+    monkeypatch.setattr(oracle.PermTable, "__init__", built)
+    recs = check_family(PPParams(Field(3, 1, 3), 3, 2, 13), symbolic=True)
+    assert any(r.symbolic_ok for r in recs)
+    assert all(r.symbolic_ok is (True if r.criterion else None) for r in recs)
 
 
 def test_check_family_memory_is_bounded_by_the_chunk():
