@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .gf import Field, FieldElement, exact_div
+from .gf import Field, FieldElement, as_int, exact_div
 from .poly import Poly, poly_from_terms
 
 
@@ -62,8 +62,7 @@ class PPParams:
     """Validated parameters (m, s, t) with st = q^m - 1, plus derived gcd data."""
 
     def __init__(self, field: Field, m: int, s: int, t: int):
-        if any(isinstance(v, (bool, np.bool_)) for v in (m, s, t)):
-            raise TypeError("m, s and t must be integers, got bool")
+        m, s, t = as_int(m, "m"), as_int(s, "s"), as_int(t, "t")
         if not 1 <= m <= field.n:
             raise ValueError(f"m must lie in [1, {field.n}], got {m}")
         if s < 1 or t < 1:
@@ -186,14 +185,17 @@ class PPParams:
     def a_indices(self, selection=None) -> np.ndarray:
         """The selected a indices as an array; every nonzero a when None.
 
-        Raises ValueError for any index outside [1, Q), and for None on a
-        field too large for index arrays; Field.element raises TypeError for
-        a selection that is not integer (floats, strings, bools).
+        Raises ValueError for a selection that is not 1-D, for any index
+        outside [1, Q), and for None on a field too large for index arrays;
+        Field.element raises TypeError for a selection that is not integer
+        (floats, strings, bools).
         """
         Q = self.field.order
         if selection is None:
             return self.field.all_elements().index[1:]
         a = np.asarray(selection)
+        if a.ndim != 1:
+            raise ValueError(f"a indices must be a 1-D selection, got shape {a.shape}")
         if not a.size:
             a = a.astype(np.int64)  # np.asarray([]) is float64
         elif a.dtype.kind in "iu" and (a.min() < 1 or a.max() >= Q):

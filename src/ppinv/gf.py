@@ -55,6 +55,13 @@ def exact_div(num: int, den: int) -> int:
     return q
 
 
+def as_int(value, what: str) -> int:
+    """value as a Python int: TypeError for a bool (Python's or numpy's) or a non-integer."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{what} must be an integer, got bool")
+    return operator.index(value)
+
+
 def is_prime(n: int) -> bool:
     """Primality by trial division: at most ~2 ms up to MAX_ORDER."""
     return n > 1 and prime_factors(n) == [n]
@@ -557,10 +564,8 @@ class Field:
             if value.field != self:
                 raise TypeError("element belongs to a different field")
             return value
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError("element index must be an integer, got bool")
-        if isinstance(value, (int, np.integer)):
-            k = int(value)
+        if isinstance(value, (int, np.integer, np.bool_)):
+            k = as_int(value, "element index")
             if not 0 <= k < self.order:
                 raise ValueError(f"element index {k} out of range [0, {self.order})")
             return FieldElement(self, k)

@@ -88,11 +88,12 @@ class PermTable:
 
 
 def tabulate(field: Field, fn, cap: int | None = None) -> PermTable:
-    """Evaluate fn at every field element, in index order."""
+    """Evaluate fn at every field element, in index order; each image is read
+    through field.element, so one from another field raises TypeError."""
     check_cap(field.order, cap)
     images = np.empty(field.order, dtype=np.int64)
     for k, x in enumerate(field.elements()):
-        images[k] = fn(x).index
+        images[k] = field.element(fn(x)).index
     return PermTable(field, images)
 
 

@@ -8,8 +8,8 @@ _convolve multiplies the two, maps the product back to D digits with one
 fixed matrix and inverse-transforms those D rows, finishing only the output
 window its caller reads.  Large p splits each digit into r limbs, a second
 axis evaluated at 2r - 1 roots.
-Reduction mod x^Q - x (Q the field order) uses the exponent rule
-k -> ((k - 1) mod (Q - 1)) + 1 for k >= Q, which never sends a positive
+Reduction mod x^Q - x (Q the field order) is one fold, _fold: exponent
+k >= Q goes to ((k - 1) mod (Q - 1)) + 1, which never sends a positive
 exponent to 0 and so preserves the induced function on the whole field,
 including at 0.  Two reduced polynomials are equal iff they induce the same
 function (Lidl & Niederreiter, Finite Fields, ch. 7).  Polynomials in
@@ -47,7 +47,7 @@ import weakref
 
 import numpy as np
 
-from .gf import Field, FieldElement, prime_factors
+from .gf import Field, FieldElement, as_int, prime_factors
 
 def check_images(field: Field, images) -> np.ndarray:
     """A table of Q image indices as int64: its shape checked here, its entries by Field.element."""
@@ -245,27 +245,15 @@ class Poly:
         return Poly(f, _convolve(f, A, B, size, slice(la + lb - 1)))
 
     def reduce(self) -> "Poly":
-        """Canonical representative of the induced function (degree < Q):
-        x^k -> x^(((k - 1) mod (Q - 1)) + 1) for k >= Q."""
-        Q = self.field.order
-        if len(self.idx) <= Q:
-            return Poly(self.field, self.idx)
-        out = self.idx[:Q].copy()
-        for lo in range(Q, len(self.idx), Q - 1):  # x^(Q + (Q-1) r + i) -> x^(i+1)
-            chunk = self.idx[lo:lo + Q - 1]
-            out[1:len(chunk) + 1] = self.field.tables.add(out[1:len(chunk) + 1], chunk)
-        return Poly(self.field, out)
+        """Canonical representative of the induced function (degree < Q), by _fold."""
+        return _fold(self.field, np.arange(len(self.idx)), self.idx)
 
     def frobenius(self) -> "Poly":
-        """p-th power, reduced: c -> c^p, and exponent k > 0 -> ((kp - 1) mod (Q - 1)) + 1,
-        a permutation of 1 .. Q - 1 as p is prime to Q - 1.  No package path calls
-        it: it stays as a bench layer and a test reference."""
-        f, base = self.field, self.reduce()
-        tgt = np.arange(len(base.idx))
-        tgt[1:] = (tgt[1:] * f.p - 1) % (f.order - 1) + 1
-        out = np.zeros(tgt.max(initial=-1) + 1, dtype=np.int64)
-        out[tgt] = f.tables.pow(base.idx, f.p)
-        return Poly(f, out)
+        """p-th power, reduced: c x^k -> c^p x^(kp), folded by _fold with no
+        reduction first, as kp and k'p agree mod Q - 1 for the reduced k'.  No
+        package path calls it: it stays as a bench layer and a test reference."""
+        f = self.field
+        return _fold(f, np.arange(len(self.idx)) * f.p, f.tables.pow(self.idx, f.p))
 
     def pow_mod(self, k: int) -> "Poly":
         """k-th power mod x^Q - x by square and multiply.  No package path calls
@@ -391,19 +379,25 @@ def _symmetry(field: Field, units: np.ndarray) -> int:
     return e
 
 
-def poly_from_terms(field: Field, terms) -> Poly:
-    """Reduced polynomial from (exponent, coefficient) pairs.
-
-    Exponents >= Q are folded as Python integers first, so arbitrarily large
-    printed exponents stay cheap; terms that land on the same exponent are
-    added digit-wise.  Like every Poly operation this needs the field's
-    tables, so a larger field is refused with ValueError.
-    """
-    Q = field.order
-    pairs = [(k if k < Q else (k - 1) % (Q - 1) + 1, field.element(c).index) for k, c in terms]
-    exps, coeffs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    T = field.tables
-    acc = np.zeros((exps.max(initial=0) + 1, field.degree), dtype=np.int64)
-    np.add.at(acc, exps, T.dig[coeffs])
+def _fold(field: Field, exps, idx) -> Poly:
+    """The reduced sum of the terms idx[i] x^exps[i] (exps may hold Python integers of
+    any size): k >= Q goes to ((k - 1) mod (Q - 1)) + 1, and colliding terms add digit-wise."""
+    Q, T = field.order, field.tables
+    k = np.where(exps < Q, exps, (exps - 1) % (Q - 1) + 1).astype(np.int64)
+    acc = np.zeros((k.max(initial=0) + 1, field.degree), dtype=np.int64)
+    np.add.at(acc, k, T.dig[idx])
     return Poly(field, (acc % field.p) @ T.pw)
 
+
+def poly_from_terms(field: Field, terms) -> Poly:
+    """Reduced polynomial from (exponent, coefficient) pairs, by _fold.
+
+    Exponents are integers >= 0 of any size (TypeError for a bool or a non-integer,
+    ValueError if negative).  Like every Poly operation this needs the field's
+    tables, so a larger field is refused with ValueError.
+    """
+    pairs = list(terms)
+    exps = np.array([as_int(k, "exponent") for k, _ in pairs], dtype=object)
+    if (exps < 0).any():
+        raise ValueError("exponents must be >= 0")
+    return _fold(field, exps, np.array([field.element(c).index for _, c in pairs], dtype=np.int64))

@@ -372,6 +372,12 @@ def test_poly_from_terms_folds_large_exponents():
     p = poly_from_terms(F9, [(9, F9.one), (1, F9(2))])
     assert p == Poly(F9)
     assert poly_from_terms(F9, [(0, F9(2)), (10, F9.one)]) == Poly(F9, [2, 0, 1])
+    # exponents of any size fold as Python integers: on F_5, 2^70 = 0 mod Q - 1
+    # lands on x^4 and x^5 on x; colliding terms add mod p (x + 4x + 2x + 3x = 0)
+    F5 = Field(5)
+    assert poly_from_terms(F5, [(2 ** 70, 1), (np.int64(5), 2), (0, 3)]) == Poly(F5, [3, 2, 0, 0, 1])
+    assert poly_from_terms(F5, [(1, 1), (5, 4), (9, 2), (2 ** 70 + 1, 3)]) == Poly(F5)
+    assert poly_from_terms(F5, []) == Poly(F5)
 
 
 # -- linearized binomial -----------------------------------------------------

@@ -38,6 +38,11 @@ def test_tabulate_pinned():
     assert not const.is_bijection()
 
 
+def test_tabulate_refuses_images_from_another_field():
+    with pytest.raises(TypeError, match="element belongs to a different field"):
+        tabulate(Field(7), lambda x: Field(11)(x.index))
+
+
 def test_bijection_and_inversion_pinned():
     field, params, a = f5_instance()
     table = tabulate(field, lambda x: params.evaluate(a, x))

@@ -82,7 +82,7 @@ def test_frobenius_is_pth_power():
     for spec in [(3, 1, 2), (2, 1, 4), (5, 1, 1)]:
         F = Field(*spec)
         Q = F.order
-        # unreduced inputs too: frobenius() reduces before it maps exponents
+        # unreduced inputs too: frobenius() folds kp without reducing k first
         long = [
             Poly(F, [rng.randrange(Q) for _ in range(n - 1)] + [rng.randrange(1, Q)])
             for n in (Q + 1, 2 * Q, 3 * Q + 5)
@@ -625,8 +625,19 @@ def test_reduce_matches_fold(spec):
     for n in (Q + 1, 2 * Q - 1, 2 * Q, 3 * Q + 5):
         coeffs = rng.integers(0, Q, n)
         coeffs[-1] = rng.integers(1, Q)
-        ref = poly_from_terms(field, enumerate(coeffs.tolist()))
-        assert Poly(field, coeffs).reduce() == ref, n
+        poly = Poly(field, coeffs)
+        assert poly.reduce() == ref_reduce(poly), n
+
+
+def test_poly_from_terms_checks_exponents():
+    F5 = Field(5)
+    # a wrapped negative exponent is a wrong polynomial: x^-1 would read as the constant 1
+    for field, terms in ((F5, [(-1, 1)]), (Field(3, 1, 2), [(-1, 1)]), (F5, [(-3, 2), (2, 1)])):
+        with pytest.raises(ValueError, match="exponents"):
+            poly_from_terms(field, terms)
+    for terms in ([(2.7, 1)], [(True, 3)], [(np.True_, 3)], [("2", 1)]):  # not x^2 or 3x
+        with pytest.raises(TypeError):
+            poly_from_terms(F5, terms)
 
 
 # -- powers and products of polynomials in x^e ------------------------------------

@@ -282,6 +282,12 @@ def test_a_indices_outside_the_units_are_rejected():
             params.images_for(bad)
         with pytest.raises(TypeError, match="integer"):
             check_family(params, bad)
+    # a selection must be 1-D: a 2-D array once met numpy's broadcast error, a scalar len()
+    for bad, shape in ((np.array([[3, 5]]), r"\(1, 2\)"), (5, r"\(\)")):
+        with pytest.raises(ValueError, match=f"1-D selection, got shape {shape}"):
+            check_family(params, bad)
+        with pytest.raises(ValueError, match="1-D"):
+            params.criterion_mask(bad)
     assert params.criterion_mask([]).shape == (0,)
     assert check_family(params, []) == []
 
